@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
               sc.failedLink()->endpointB());
 
   std::printf("forwarding path storyboard (times relative to failure):\n");
-  for (const auto& e : sc.stats().tracer()->events()) {
+  for (const auto& e : sc.stats().pathWalker().events()) {
     const double rel = e.t.toSeconds() - failSec;
     if (rel < -1.0) continue;  // skip warm-up churn
     std::printf("  t=%+9.3fs  %-10s", rel,

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     Scenario sc{cfg};
     sc.run();
 
-    const auto& events = sc.stats().tracer()->events();
+    const auto& events = sc.stats().pathWalker().events();
     bool sawLoop = false;
     for (const auto& e : events) {
       if (e.t >= cfg.failAt && e.loop) sawLoop = true;

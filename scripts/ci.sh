@@ -28,7 +28,7 @@ grep -q '"replica.wall_sec"' "$smoke_out/headline_table.json"
 grep -q '"sim.events_executed"' "$smoke_out/headline_table.json"
 
 # Observability smoke: the structured tracer's record -> replay round trip
-# must agree bit-for-bit with the live PathTracer (rcsim-trace --selftest),
+# must agree bit-for-bit with the live path record (rcsim-trace --selftest),
 # and a recorded rcsim-trace-v1 file must replay cleanly.
 "$BUILD/tools/rcsim-trace" protocol=RIP degree=4 seed=7 --selftest > /dev/null
 "$BUILD/tools/rcsim-trace" protocol=BGP degree=4 seed=11 --selftest > /dev/null
@@ -93,7 +93,7 @@ cmake --build "$SAN_BUILD" -j "$(nproc)"
 # SPF against a full-BFS oracle (src/routing/linkstate.cpp), so the
 # sanitizer job also proves incremental == full element-wise under ASan.
 RCSIM_SPF_ORACLE=1 ctest --test-dir "$SAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|Inspect|inspect|trace_record'
+  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|Inspect|inspect|trace_record|PathWalk|TraceReplay|Stats'
 
 # TSan job: a -fsanitize=thread build runs the concurrency-heavy suites
 # (SweepExecutor's work queue, the lock-free metrics registry, journaled

@@ -7,16 +7,13 @@
 
 namespace rcsim {
 
-std::string fnv1aHexDigest(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+std::string Fnv1a::hex() const {
   char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h_);
   return std::string{buf};
 }
+
+std::string fnv1aHexDigest(std::string_view text) { return Fnv1a{}.add(text).hex(); }
 
 namespace {
 

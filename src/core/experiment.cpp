@@ -50,12 +50,19 @@ RunResult summarizeRun(Scenario& scenario) {
 
   r.routingConvergenceSec = stats.routeLog().convergenceSeconds();
   r.routeChangesAfterFailure = stats.routeLog().changesAfterWatermark();
-  if (const auto* tracer = stats.tracer()) {
+  {
+    // Forwarding-path forensics from the failure on: distinct paths, the
+    // last path change (Figure 6a) and whether any path looped/black-holed.
     const Time watermark = cfg.failureWatermark();
-    r.forwardingConvergenceSec = tracer->convergenceSecondsAfter(watermark);
-    r.transientPaths = tracer->transientPathsAfter(watermark);
-    r.sawLoop = tracer->sawLoopAfter(watermark);
-    r.sawBlackhole = tracer->sawBlackholeAfter(watermark);
+    Time lastChange = watermark;
+    for (const auto& e : stats.pathWalker().events()) {
+      if (e.t < watermark) continue;
+      ++r.transientPaths;
+      lastChange = e.t;
+      r.sawLoop = r.sawLoop || e.loop;
+      r.sawBlackhole = r.sawBlackhole || e.blackhole;
+    }
+    r.forwardingConvergenceSec = (lastChange - watermark).toSeconds();
   }
 
   r.preFailurePathShortest = scenario.preFailurePathShortest();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,13 +17,25 @@ std::vector<RunResult> runMany(const ScenarioConfig& base, int runs, std::uint64
   threads = std::min(threads, runs);
   std::vector<RunResult> results(static_cast<std::size_t>(runs));
   std::atomic<int> next{0};
+  // The first replica to throw stops every worker from taking new work;
+  // its exception is rethrown once the pool has joined, instead of
+  // escaping a worker thread into std::terminate.
+  std::exception_ptr firstError;
+  std::mutex errorMu;
   auto worker = [&] {
     while (true) {
       const int i = next.fetch_add(1);
       if (i >= runs) return;
       ScenarioConfig cfg = base;
       cfg.seed = startSeed + static_cast<std::uint64_t>(i);
-      results[static_cast<std::size_t>(i)] = runScenario(cfg);
+      try {
+        results[static_cast<std::size_t>(i)] = runScenario(cfg);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock{errorMu};
+        if (!firstError) firstError = std::current_exception();
+        next.store(runs);
+        return;
+      }
     }
   };
   if (threads <= 1) {
@@ -32,6 +46,7 @@ std::vector<RunResult> runMany(const ScenarioConfig& base, int runs, std::uint64
     for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
+  if (firstError) std::rethrow_exception(firstError);
   return results;
 }
 

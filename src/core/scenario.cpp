@@ -1,10 +1,10 @@
 #include "core/scenario.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/digest.hpp"
 #include "topo/loader.hpp"
 
 namespace rcsim {
@@ -108,7 +108,7 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
 
   // Instrumentation watches flow 0 (the paper's single pair).
   stats_ = std::make_unique<StatsCollector>(
-      *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver, /*trackPath=*/true});
+      *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver});
   stats_->install();
   stats_->setFailureWatermark(cfg_.failureWatermark());
 
@@ -272,13 +272,7 @@ std::string Scenario::captureFibSnapshot() const {
   // FNV-1a over (node, dst, nextHop) triples in dense scan order. Only
   // installed routes contribute, so the digest is insensitive to node count
   // padding but pins every primary next hop in the network.
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
   const auto n = static_cast<NodeId>(net_->nodeCount());
   for (NodeId id = 0; id < n; ++id) {
     const auto& fib = net_->node(id).fib();
@@ -286,14 +280,12 @@ std::string Scenario::captureFibSnapshot() const {
       if (dst == id) continue;
       const NodeId nh = fib.nextHop(dst);
       if (nh == kInvalidNode) continue;
-      mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) << 40) ^
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 20) ^
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(nh)));
+      h.addWord((static_cast<std::uint64_t>(static_cast<std::uint32_t>(id)) << 40) ^
+                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 20) ^
+                static_cast<std::uint64_t>(static_cast<std::uint32_t>(nh)));
     }
   }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return std::string{buf};
+  return h.hex();
 }
 
 }  // namespace rcsim

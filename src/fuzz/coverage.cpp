@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "core/digest.hpp"
+
 namespace rcsim::fuzz {
 namespace {
 
@@ -18,12 +20,7 @@ std::uint32_t countBucket(std::uint64_t n) {
 
 /// FNV-1a over a string, folded into the outcome-feature tail.
 std::uint32_t outcomeHash(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::uint32_t>(h % (CoverageMap::kOutcomeSpace - 8));
+  return static_cast<std::uint32_t>(Fnv1a{}.add(text).value() % (CoverageMap::kOutcomeSpace - 8));
 }
 
 }  // namespace

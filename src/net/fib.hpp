@@ -35,8 +35,8 @@ namespace rcsim {
 /// when ECMP is enabled at resize() time; with it off the alternate arrays
 /// are never allocated and the FIB costs exactly one NodeId per destination.
 ///
-/// Canonical walks (Network::fibWalk, PathTracer, the obs/replay shadow
-/// FIB) follow primaries only; the data plane spreads flows over the full
+/// Canonical walks (Network::fibWalk, obs::PathWalker, the obs/replay
+/// shadow FIB) follow primaries only; the data plane spreads flows over the full
 /// entry set via fibFlowKey (see docs/routing-state.md).
 class Fib {
  public:

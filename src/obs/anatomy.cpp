@@ -1,7 +1,5 @@
 #include "obs/anatomy.hpp"
 
-#include <stdexcept>
-
 #include "net/types.hpp"
 
 namespace rcsim::obs {
@@ -88,17 +86,10 @@ AnatomySummary AnatomyReport::summary() const {
 }
 
 ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt, TraceSink* downstream)
-    : opt_{opt}, downstream_{downstream} {
-  walkable_ = opt_.nodeCount > 0 && opt_.src != kInvalidNode && opt_.dst != kInvalidNode &&
-              static_cast<std::size_t>(opt_.src) < opt_.nodeCount &&
-              static_cast<std::size_t>(opt_.dst) < opt_.nodeCount;
-  if (walkable_) {
-    nextHopToDst_.assign(opt_.nodeCount, kInvalidNode);
-    visitedEpoch_.assign(opt_.nodeCount, 0);
-  }
-  if (opt_.nodeCount > 0) {
-    report_.perNodeControlMessages.assign(opt_.nodeCount, 0);
-    report_.perNodeControlBytes.assign(opt_.nodeCount, 0);
+    : walker_{opt.src, opt.dst, opt.nodeCount}, downstream_{downstream} {
+  if (opt.nodeCount > 0) {
+    report_.perNodeControlMessages.assign(opt.nodeCount, 0);
+    report_.perNodeControlBytes.assign(opt.nodeCount, 0);
   }
 }
 
@@ -123,65 +114,34 @@ void ConvergenceAnalyzer::openEpisode(const TraceEvent& ev) {
   episodeOpen_ = true;
 }
 
-void ConvergenceAnalyzer::walk(Time t) {
-  // The receiver-column walk: identical to replay.cpp's shadowWalk over a
-  // full shadow FIB, because the walk only ever reads fib[cur][dst].
-  ++epoch_;
-  walkBuf_.clear();
-  bool loop = false;
-  bool blackhole = false;
-  NodeId cur = opt_.src;
-  while (true) {
-    walkBuf_.push_back(cur);
-    if (cur == opt_.dst) break;
-    if (visitedEpoch_[static_cast<std::size_t>(cur)] == epoch_) {
-      loop = true;
-      break;
-    }
-    visitedEpoch_[static_cast<std::size_t>(cur)] = epoch_;
-    const NodeId nh = nextHopToDst_[static_cast<std::size_t>(cur)];
-    if (nh == kInvalidNode) {
-      blackhole = true;
-      break;
-    }
-    cur = nh;
-  }
-  // PathTracer::snapshot's dedup: record only a *changed* path.
-  if (!report_.pathEvents.empty() && report_.pathEvents.back().path == walkBuf_) return;
-  report_.pathEvents.push_back(ReplayPathEvent{t, walkBuf_, loop, blackhole});
+void ConvergenceAnalyzer::recordPath(const ReplayPathEvent& e) {
+  report_.pathEvents.push_back(e);
+  foldWindow(e.loop, e.t, loop_, report_.loopWindows, &ConvergenceEpisode::loopWindows,
+             &ConvergenceEpisode::loopSeconds);
+  foldWindow(e.blackhole, e.t, blackhole_, report_.blackholeWindows,
+             &ConvergenceEpisode::blackholeWindows, &ConvergenceEpisode::blackholeSeconds);
+}
 
-  // Incremental form of replay.cpp's windows() fold, attributing each
-  // window to the episode that was open when it began.
-  if (loop && !loopOpen_) {
-    report_.loopWindows.push_back(ReplayWindow{t, t, true});
-    loopOpen_ = true;
-    loopOwner_ = episodeOpen_ ? report_.episodes.size() - 1 : kNoOwner;
-    if (loopOwner_ != kNoOwner) ++report_.episodes[loopOwner_].loopWindows;
-  } else if (!loop && loopOpen_) {
-    ReplayWindow& w = report_.loopWindows.back();
-    w.end = t;
-    w.openAtEnd = false;
-    if (loopOwner_ != kNoOwner) {
-      report_.episodes[loopOwner_].loopSeconds += (w.end - w.begin).toSeconds();
-    }
-    loopOpen_ = false;
-    loopOwner_ = kNoOwner;
+void ConvergenceAnalyzer::foldWindow(bool on, Time t, OpenWindow& state,
+                                     std::vector<ReplayWindow>& windows,
+                                     int ConvergenceEpisode::*count,
+                                     double ConvergenceEpisode::*seconds) {
+  if (on == state.open) return;
+  state.open = on;
+  if (on) {
+    // A window belongs to the episode that was open when it began.
+    windows.push_back(ReplayWindow{t, t, true});
+    state.owner = episodeOpen_ ? report_.episodes.size() - 1 : kNoOwner;
+    if (state.owner != kNoOwner) ++(report_.episodes[state.owner].*count);
+    return;
   }
-  if (blackhole && !blackholeOpen_) {
-    report_.blackholeWindows.push_back(ReplayWindow{t, t, true});
-    blackholeOpen_ = true;
-    blackholeOwner_ = episodeOpen_ ? report_.episodes.size() - 1 : kNoOwner;
-    if (blackholeOwner_ != kNoOwner) ++report_.episodes[blackholeOwner_].blackholeWindows;
-  } else if (!blackhole && blackholeOpen_) {
-    ReplayWindow& w = report_.blackholeWindows.back();
-    w.end = t;
-    w.openAtEnd = false;
-    if (blackholeOwner_ != kNoOwner) {
-      report_.episodes[blackholeOwner_].blackholeSeconds += (w.end - w.begin).toSeconds();
-    }
-    blackholeOpen_ = false;
-    blackholeOwner_ = kNoOwner;
+  ReplayWindow& w = windows.back();
+  w.end = t;
+  w.openAtEnd = false;
+  if (state.owner != kNoOwner) {
+    report_.episodes[state.owner].*seconds += (w.end - w.begin).toSeconds();
   }
+  state.owner = kNoOwner;
 }
 
 void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
@@ -198,22 +158,12 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
         ep->lastRouteChangeAt = ev.t;
         ++ep->routeChanges;
       }
-      if (!walkable_) break;
-      const auto node = static_cast<std::size_t>(ev.a);
-      const auto dst = static_cast<std::size_t>(ev.x);
-      if (node >= opt_.nodeCount || dst >= opt_.nodeCount) {
-        // Same contract (and text) as replayTrace: a trace whose route
-        // events do not fit the declared node count is corrupt.
-        throw std::runtime_error("trace replay: RouteChange references a node outside 0..N-1");
-      }
-      if (static_cast<NodeId>(ev.x) == opt_.dst) {
-        nextHopToDst_[node] = static_cast<NodeId>(ev.z);
-        walk(ev.t);
-      } else if (report_.pathEvents.empty()) {
-        // The very first RouteChange always records a path event in the
-        // offline replay (its dedup list is empty); later off-column
-        // changes cannot alter the walked path and are skipped.
-        walk(ev.t);
+      // A dst beyond NodeId's range is as corrupt as one beyond N, which
+      // the walker rejects.
+      const NodeId dst = ev.x == static_cast<NodeId>(ev.x) ? static_cast<NodeId>(ev.x)
+                                                           : kInvalidNode;
+      if (const auto* e = walker_.onRouteChange(ev.t, ev.a, dst, static_cast<NodeId>(ev.z))) {
+        recordPath(*e);
       }
       break;
     }
@@ -233,8 +183,8 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
         case DropReason::TtlExpired:
           // A TTL death while the traced path loops is the loop's kill;
           // outside a loop window it is a plain TTL drop.
-          field = loopOpen_ ? &ConvergenceEpisode::dropsLoop : &ConvergenceEpisode::dropsTtl;
-          total = loopOpen_ ? &AnatomyReport::dropsLoop : &AnatomyReport::dropsTtl;
+          field = loop_.open ? &ConvergenceEpisode::dropsLoop : &ConvergenceEpisode::dropsTtl;
+          total = loop_.open ? &AnatomyReport::dropsLoop : &AnatomyReport::dropsTtl;
           break;
         case DropReason::NoRoute:
           field = &ConvergenceEpisode::dropsBlackhole;
@@ -289,11 +239,9 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
 void ConvergenceAnalyzer::finish() {
   if (finished_) return;
   finished_ = true;
-  if (loopOpen_ && loopOwner_ != kNoOwner) {
-    report_.episodes[loopOwner_].loopOpenAtEnd = true;
-  }
-  if (blackholeOpen_ && blackholeOwner_ != kNoOwner) {
-    report_.episodes[blackholeOwner_].blackholeOpenAtEnd = true;
+  if (loop_.open && loop_.owner != kNoOwner) report_.episodes[loop_.owner].loopOpenAtEnd = true;
+  if (blackhole_.open && blackhole_.owner != kNoOwner) {
+    report_.episodes[blackhole_.owner].blackholeOpenAtEnd = true;
   }
   episodeOpen_ = false;
 }

@@ -15,18 +15,15 @@
 // AnatomyDivergence), which is what lets either be trusted.
 //
 // Where replay.cpp keeps a dense N x N shadow FIB and re-walks on every
-// RouteChange, the analyzer keeps only the receiver's FIB *column* (the
-// walk never reads any other destination) and re-walks only when that
-// column changed — O(N) memory and far fewer walks, with provably
-// identical output: a walk after an unrelated RouteChange reproduces the
-// previous path, which the PathTracer dedup discards anyway. The single
-// exception is the first RouteChange of the stream, which the dedup
-// always records; the analyzer walks on that one unconditionally.
+// RouteChange, the analyzer walks through a PathWalker (obs/path_walk.hpp),
+// which keeps only the receiver's FIB column and re-walks only when that
+// column changes — O(N) memory and far fewer walks, with identical output.
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "obs/path_walk.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
 
@@ -218,31 +215,27 @@ class ConvergenceAnalyzer : public TraceSink {
  private:
   void analyze(const TraceEvent& ev);
   void openEpisode(const TraceEvent& ev);
-  void walk(Time t);
+  static constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
 
-  ReplayOptions opt_;
-  bool walkable_ = false;
+  /// Incremental window fold (mirrors replay.cpp's post-hoc windows()) for
+  /// one condition: open state plus the index of the episode the open
+  /// window belongs to.
+  struct OpenWindow {
+    bool open = false;
+    std::size_t owner = kNoOwner;
+  };
+
+  void recordPath(const ReplayPathEvent& e);
+  void foldWindow(bool on, Time t, OpenWindow& state, std::vector<ReplayWindow>& windows,
+                  int ConvergenceEpisode::*count, double ConvergenceEpisode::*seconds);
+
+  PathWalker walker_;
   TraceSink* downstream_ = nullptr;
   bool finished_ = false;
 
-  /// Receiver-column shadow FIB: nextHopToDst_[n] is n's primary next hop
-  /// toward opt_.dst (the only column the path walk ever reads).
-  std::vector<NodeId> nextHopToDst_;
-  /// Epoch-stamped visited marks + reused path buffer, so a walk allocates
-  /// nothing after the first.
-  std::vector<std::uint64_t> visitedEpoch_;
-  std::uint64_t epoch_ = 0;
-  std::vector<NodeId> walkBuf_;
-
   bool episodeOpen_ = false;
-
-  /// Incremental window fold (mirrors replay.cpp's post-hoc windows()):
-  /// open state plus the index of the episode the open window belongs to.
-  bool loopOpen_ = false;
-  std::size_t loopOwner_ = kNoOwner;
-  bool blackholeOpen_ = false;
-  std::size_t blackholeOwner_ = kNoOwner;
-  static constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
+  OpenWindow loop_;
+  OpenWindow blackhole_;
 
   AnatomyReport report_;
 };

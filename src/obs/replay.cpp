@@ -95,7 +95,7 @@ ReplayResult replayTrace(const std::vector<TraceEvent>& events, const ReplayOpti
         bool loop = false;
         bool blackhole = false;
         auto path = shadowWalk(fib, opt.src, opt.dst, &loop, &blackhole);
-        // PathTracer::snapshot's dedup: record only a *changed* path.
+        // Record only a *changed* path.
         if (out.pathEvents.empty() || out.pathEvents.back().path != path) {
           out.pathEvents.push_back(ReplayPathEvent{ev.t, std::move(path), loop, blackhole});
         }

@@ -3,13 +3,13 @@
 // Offline reconstruction of a run's forwarding-plane story from its
 // rcsim-trace-v1 event stream — no simulator, no Network, just the events.
 //
-// The replayer mirrors the live pipeline exactly: it applies each
-// RouteChange to a shadow FIB, then re-runs Network::fibWalk's algorithm
-// from the traced sender toward the traced receiver and appends a path
-// record iff the path differs from the previous one — the same dedup
-// PathTracer::snapshot applies. Because snapshot() is driven solely by
-// the onRouteChange hook and fibWalk reads nothing but FIB state, the
-// reconstructed sequence is bit-identical to PathTracer::events() from
+// The replayer is the independent oracle for obs::PathWalker: it applies
+// each RouteChange to a full N x N shadow FIB, then re-runs
+// Network::fibWalk's algorithm from the traced sender toward the traced
+// receiver after *every* change, and appends a path record iff the path
+// differs from the previous one. Because the live walk is driven solely
+// by route changes and reads nothing but FIB state, the reconstructed
+// sequence is bit-identical to StatsCollector::pathWalker().events() from
 // the live run (test_obs.cpp and `rcsim-trace --selftest` pin this).
 
 #include <array>
@@ -26,7 +26,7 @@ struct ReplayOptions {
   std::size_t nodeCount = 0;  ///< number of nodes (header meta "nodes")
 };
 
-/// One distinct forwarding path; mirrors PathTracer::PathEvent.
+/// One distinct forwarding path, stamped with the route change that made it.
 struct ReplayPathEvent {
   Time t{};
   std::vector<NodeId> path;

@@ -86,12 +86,9 @@ bool decodeTraceLine(const std::string& line, TraceEvent& out) {
 }
 
 std::string traceDigest(const std::vector<TraceEvent>& events) {
-  std::string all;
-  for (const auto& ev : events) {
-    all += dumpJsonLine(eventToJson(ev));
-    all += '\n';
-  }
-  return fnv1aHexDigest(all);
+  Fnv1a h;
+  for (const auto& ev : events) h.add(dumpJsonLine(eventToJson(ev))).add("\n");
+  return h.hex();
 }
 
 FileTraceSink::FileTraceSink(std::string path, const JsonValue& meta) : path_{std::move(path)} {

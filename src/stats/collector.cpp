@@ -30,11 +30,9 @@ void bump(PacketCounters& c, DropReason reason) {
 
 }  // namespace
 
-StatsCollector::StatsCollector(Network& net, Config cfg) : net_{net}, cfg_{cfg} {
+StatsCollector::StatsCollector(Network& net, Config cfg)
+    : net_{net}, walker_{cfg.sender, cfg.receiver, net.nodeCount()} {
   routeLog_.resize(net.nodeCount());
-  if (cfg_.trackPath && cfg_.sender != kInvalidNode && cfg_.receiver != kInvalidNode) {
-    tracer_ = std::make_unique<PathTracer>(net, cfg_.sender, cfg_.receiver);
-  }
 }
 
 void StatsCollector::setFailureWatermark(Time t) {
@@ -53,7 +51,7 @@ void StatsCollector::install() {
   };
   hooks.onRouteChange = [this](Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) {
     routeLog_.record(t, node, dst, oldNh, newNh);
-    if (tracer_) tracer_->snapshot(t);
+    walker_.onRouteChange(t, node, dst, newNh);
   };
   hooks.onControlSend = [this](Time t, NodeId, NodeId, const ControlPayload& payload) {
     ++controlMessages_;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "net/types.hpp"
-#include "stats/path_tracer.hpp"
+#include "obs/path_walk.hpp"
 #include "stats/route_log.hpp"
 #include "stats/timeseries.hpp"
 
@@ -35,13 +34,13 @@ struct PacketCounters {
 };
 
 /// One-stop instrumentation: installs itself into the network's hooks and
-/// feeds the counters, time series, route-change log and path tracer.
+/// feeds the counters, time series, route-change log and the sender→receiver
+/// path walk.
 class StatsCollector {
  public:
   struct Config {
-    NodeId sender = kInvalidNode;    ///< Data source (for path tracing).
+    NodeId sender = kInvalidNode;    ///< Data source (start of the walked path).
     NodeId receiver = kInvalidNode;  ///< Data sink.
-    bool trackPath = true;
   };
 
   StatsCollector(Network& net, Config cfg);
@@ -57,7 +56,9 @@ class StatsCollector {
   [[nodiscard]] const TimeSeries& series() const { return series_; }
   [[nodiscard]] const RouteChangeLog& routeLog() const { return routeLog_; }
   [[nodiscard]] RouteChangeLog& routeLog() { return routeLog_; }
-  [[nodiscard]] const PathTracer* tracer() const { return tracer_.get(); }
+  /// The sender→receiver forwarding path across route changes (Figure 6a,
+  /// transient paths, loops). Records nothing without both endpoints.
+  [[nodiscard]] const obs::PathWalker& pathWalker() const { return walker_; }
 
   /// Data packets dropped at/after the watermark, by reason (the paper's
   /// Figures 3 and 4 count only convergence-period drops).
@@ -78,13 +79,12 @@ class StatsCollector {
   void onDeliver(Time t, NodeId node, const Packet& p);
 
   Network& net_;
-  Config cfg_;
   PacketCounters data_;
   PacketCounters dataAfter_;
   PacketCounters control_;
   TimeSeries series_;
   RouteChangeLog routeLog_;
-  std::unique_ptr<PathTracer> tracer_;
+  obs::PathWalker walker_;
   Time watermark_ = Time::infinity();
   std::uint64_t loopEscaped_ = 0;
   std::uint64_t controlMessages_ = 0;

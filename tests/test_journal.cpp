@@ -129,6 +129,18 @@ TEST(Journal, Crc32MatchesKnownVector) {
   EXPECT_EQ(crc32Hex(""), "00000000");
 }
 
+TEST(Digest, Fnv1aMatchesStandardVectors) {
+  // The published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(fnv1aHexDigest(""), "cbf29ce484222325");
+  EXPECT_EQ(fnv1aHexDigest("a"), "af63dc4c8601ec8c");
+  EXPECT_EQ(fnv1aHexDigest("foobar"), "85944171f73967e8");
+  // Incremental feeding hashes like the concatenation; a word is its
+  // eight bytes, least significant first.
+  EXPECT_EQ(Fnv1a{}.add("foo").add("bar").hex(), "85944171f73967e8");
+  EXPECT_EQ(Fnv1a{}.addWord(0x0807060504030201ull).value(),
+            Fnv1a{}.add(std::string_view{"\x01\x02\x03\x04\x05\x06\x07\x08", 8}).value());
+}
+
 TEST(Journal, RunResultJsonRoundTripsBitExactly) {
   const RunResult r = syntheticResult(42);
   const RunResult back = runResultFromJson(parseJson(dumpJsonLine(runResultToJson(r))));

@@ -1,7 +1,7 @@
 // Observability subsystem tests: metrics registry semantics, the
 // rcsim-trace-v1 wire format (encode/decode/CRC/torn tail), trace
 // determinism across identical seeds, replay agreement with the live
-// PathTracer, the online convergence-anatomy profiler (episode
+// stats path walk, the online convergence-anatomy profiler (episode
 // semantics, offline-replay equivalence, verbatim sink chaining), and
 // the executor's published metrics block.
 
@@ -318,7 +318,7 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheRun) {
   EXPECT_EQ(sc.stats().data().dropNoRoute, untraced.data.dropNoRoute);
 }
 
-void expectReplayMatchesPathTracer(ProtocolKind kind, std::uint64_t seed) {
+void expectReplayMatchesStatsWalker(ProtocolKind kind, std::uint64_t seed) {
   const ScenarioConfig cfg = quickConfig(kind, seed);
   Scenario sc{cfg};
   MemoryTraceSink sink;
@@ -331,26 +331,24 @@ void expectReplayMatchesPathTracer(ProtocolKind kind, std::uint64_t seed) {
   opt.nodeCount = sc.network().nodeCount();
   const ReplayResult replay = replayTrace(sink.events(), opt);
 
-  const PathTracer* live = sc.stats().tracer();
-  ASSERT_NE(live, nullptr);
-  ASSERT_EQ(replay.pathEvents.size(), live->events().size());
-  for (std::size_t i = 0; i < replay.pathEvents.size(); ++i) {
-    const auto& r = replay.pathEvents[i];
-    const auto& l = live->events()[i];
-    EXPECT_EQ(r.t, l.t) << "path event " << i;
-    EXPECT_EQ(r.path, l.path) << "path event " << i;
-    EXPECT_EQ(r.loop, l.loop) << "path event " << i;
-    EXPECT_EQ(r.blackhole, l.blackhole) << "path event " << i;
-  }
+  // The stats walker (fed by the route-change hook, one column, walks
+  // skipped off-column) against the full-FIB replay of the trace stream.
+  const auto& live = sc.stats().pathWalker().events();
+  ASSERT_FALSE(live.empty());
+  EXPECT_EQ(live, replay.pathEvents);
   // The data-plane tallies must agree with the live collector too
   // (control packets are consumed before deliverLocally, so Deliver
   // events are data-only).
   EXPECT_EQ(replay.delivered, sc.stats().data().delivered);
 }
 
-TEST(TraceReplay, AgreesWithPathTracerRip) { expectReplayMatchesPathTracer(ProtocolKind::Rip, 7); }
+TEST(TraceReplay, AgreesWithStatsWalkerRip) {
+  expectReplayMatchesStatsWalker(ProtocolKind::Rip, 7);
+}
 
-TEST(TraceReplay, AgreesWithPathTracerBgp) { expectReplayMatchesPathTracer(ProtocolKind::Bgp, 5); }
+TEST(TraceReplay, AgreesWithStatsWalkerBgp) {
+  expectReplayMatchesStatsWalker(ProtocolKind::Bgp, 5);
+}
 
 TEST(TraceReplay, OptionsFromMetaAndWindows) {
   JsonValue meta = JsonValue::makeObject();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/runner.hpp"
 
 namespace rcsim {
@@ -134,6 +136,14 @@ TEST(Scenario, ParallelRunnerMatchesSerial) {
     EXPECT_EQ(serial[i].data.delivered, parallel[i].data.delivered);
     EXPECT_EQ(serial[i].eventsExecuted, parallel[i].eventsExecuted);
   }
+}
+
+TEST(Scenario, ParallelRunnerRethrowsReplicaError) {
+  // A replica that throws on a worker thread must surface as an exception
+  // from runMany once the pool has joined, not terminate the process.
+  ScenarioConfig cfg = quickConfig(ProtocolKind::Rip, 5, 1);
+  cfg.flows = 0;
+  EXPECT_THROW((void)runMany(cfg, 4, 1, /*threads=*/2), std::invalid_argument);
 }
 
 TEST(Scenario, LinkStateProtocolRunsEndToEnd) {

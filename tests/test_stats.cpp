@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/scenario.hpp"
+#include "fault/plan.hpp"
 #include "net/network.hpp"
-#include "stats/path_tracer.hpp"
+#include "obs/path_walk.hpp"
+#include "obs/trace.hpp"
 #include "stats/route_log.hpp"
 #include "stats/timeseries.hpp"
 
@@ -76,39 +81,8 @@ struct TracerFixture : ::testing::Test {
   Network net;
 };
 
-TEST_F(TracerFixture, RecordsDistinctPathsOnly) {
-  PathTracer tracer{net, 0, 3};
-  net.node(0).setRoute(3, 1);
-  net.node(1).setRoute(3, 2);
-  net.node(2).setRoute(3, 3);
-  tracer.snapshot(1_sec);
-  tracer.snapshot(2_sec);  // unchanged: no new event
-  ASSERT_EQ(tracer.events().size(), 1u);
-  EXPECT_EQ(tracer.events()[0].path, (std::vector<NodeId>{0, 1, 2, 3}));
-  EXPECT_FALSE(tracer.events()[0].loop);
-
-  net.node(1).setRoute(3, kInvalidNode);
-  tracer.snapshot(3_sec);
-  ASSERT_EQ(tracer.events().size(), 2u);
-  EXPECT_TRUE(tracer.events()[1].blackhole);
-  EXPECT_DOUBLE_EQ(tracer.convergenceSecondsAfter(Time::zero()), 3.0);
-  EXPECT_EQ(tracer.transientPathsAfter(Time::seconds(2.5)), 1);
-  EXPECT_TRUE(tracer.sawBlackholeAfter(Time::zero()));
-  EXPECT_FALSE(tracer.sawLoopAfter(Time::zero()));
-}
-
-TEST_F(TracerFixture, DetectsLoops) {
-  PathTracer tracer{net, 0, 3};
-  net.node(0).setRoute(3, 1);
-  net.node(1).setRoute(3, 0);
-  tracer.snapshot(1_sec);
-  ASSERT_EQ(tracer.events().size(), 1u);
-  EXPECT_TRUE(tracer.events()[0].loop);
-  EXPECT_TRUE(tracer.sawLoopAfter(Time::zero()));
-}
-
 TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3, true}};
+  StatsCollector stats{net, StatsCollector::Config{0, 3}};
   stats.install();
   stats.setFailureWatermark(10_sec);
 
@@ -133,15 +107,15 @@ TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   EXPECT_EQ(stats.data().forwarded, 3u);
   EXPECT_EQ(stats.loopEscapedDeliveries(), 0u);
   EXPECT_EQ(stats.routeLog().totalChanges(), 3u);
-  ASSERT_NE(stats.tracer(), nullptr);
-  EXPECT_FALSE(stats.tracer()->events().empty());
+  ASSERT_TRUE(stats.pathWalker().walkable());
+  EXPECT_EQ(stats.pathWalker().currentPath(), (std::vector<NodeId>{0, 1, 2, 3}));
   // Delivered in bucket 0 with ~hops*(tx+prop) delay.
   EXPECT_EQ(stats.series().throughputAt(0), 1.0);
   EXPECT_GT(stats.series().meanDelayAt(0), 0.0);
 }
 
 TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3, false}};
+  StatsCollector stats{net, StatsCollector::Config{0, 3}};
   stats.install();
   struct Dummy final : ControlPayload {
     std::uint32_t sizeBytes() const override { return 8; }
@@ -156,7 +130,7 @@ TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
 }
 
 TEST_F(TracerFixture, WatermarkSplitsDropCounters) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3, false}};
+  StatsCollector stats{net, StatsCollector::Config{0, 3}};
   stats.install();
   stats.setFailureWatermark(5_sec);
   net.node(0).setRoute(3, 1);
@@ -181,6 +155,155 @@ TEST_F(TracerFixture, WatermarkSplitsDropCounters) {
   sched.run();
   EXPECT_EQ(stats.data().dropTtl, 2u);
   EXPECT_EQ(stats.dataAfterWatermark().dropTtl, 1u);
+}
+
+// ------------------------------------------------------------- path walk
+
+// The walker is fed synthetic (t, node, dst, newNh) route changes on a
+// 4-node id space; src 0, dst 3.
+TEST(PathWalk, RecordsDistinctPathsOnly) {
+  obs::PathWalker walker{0, 3, 4};
+  ASSERT_NE(walker.onRouteChange(1_sec, 2, 3, 3), nullptr);  // 0 has no route yet
+  EXPECT_EQ(walker.onRouteChange(1_sec, 1, 3, 2), nullptr);  // still stuck at 0
+  ASSERT_NE(walker.onRouteChange(1_sec, 0, 3, 1), nullptr);
+  EXPECT_EQ(walker.onRouteChange(2_sec, 2, 3, 3), nullptr);  // unchanged route
+  EXPECT_EQ(walker.onRouteChange(2_sec, 1, 0, 0), nullptr);  // other column
+  ASSERT_EQ(walker.events().size(), 2u);
+  EXPECT_EQ(walker.events()[0].path, (std::vector<NodeId>{0}));
+  EXPECT_TRUE(walker.events()[0].blackhole);
+  EXPECT_EQ(walker.events()[1].path, (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_FALSE(walker.events()[1].loop);
+  EXPECT_FALSE(walker.events()[1].blackhole);
+
+  const obs::ReplayPathEvent* e = walker.onRouteChange(3_sec, 1, 3, kInvalidNode);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->t, 3_sec);
+  EXPECT_EQ(e->path, (std::vector<NodeId>{0, 1}));
+  EXPECT_TRUE(e->blackhole);
+  EXPECT_EQ(walker.events().size(), 3u);
+  EXPECT_EQ(walker.currentPath(), (std::vector<NodeId>{0, 1}));
+}
+
+TEST(PathWalk, DetectsLoops) {
+  obs::PathWalker walker{0, 3, 4};
+  walker.onRouteChange(1_sec, 0, 3, 1);
+  walker.onRouteChange(1_sec, 1, 3, 0);
+  ASSERT_EQ(walker.events().size(), 2u);
+  EXPECT_EQ(walker.events()[1].path, (std::vector<NodeId>{0, 1, 0}));
+  EXPECT_TRUE(walker.events()[1].loop);
+  EXPECT_FALSE(walker.events()[1].blackhole);
+}
+
+TEST(PathWalk, FirstRouteChangeAlwaysWalks) {
+  // Even a change outside the receiver's column records the opening path
+  // (the full-FIB replay's dedup list is empty then); later ones do not.
+  obs::PathWalker walker{0, 3, 4};
+  EXPECT_TRUE(walker.currentPath().empty());
+  const obs::ReplayPathEvent* e = walker.onRouteChange(1_sec, 2, 1, 1);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->path, (std::vector<NodeId>{0}));
+  EXPECT_TRUE(e->blackhole);
+  EXPECT_EQ(walker.onRouteChange(2_sec, 1, 2, 2), nullptr);
+  EXPECT_EQ(walker.events().size(), 1u);
+}
+
+TEST(PathWalk, UnusableEndpointsRecordNothing) {
+  struct Endpoints {
+    NodeId src;
+    NodeId dst;
+    std::size_t nodeCount;
+  };
+  for (const auto& [src, dst, nodeCount] :
+       {Endpoints{kInvalidNode, 3, 4}, Endpoints{0, kInvalidNode, 4}, Endpoints{0, 4, 4},
+        Endpoints{0, 3, 0}}) {
+    obs::PathWalker walker{src, dst, nodeCount};
+    EXPECT_FALSE(walker.walkable());
+    EXPECT_EQ(walker.onRouteChange(1_sec, 0, 3, 1), nullptr);
+    EXPECT_EQ(walker.onRouteChange(1_sec, 9, 9, 1), nullptr);  // not even range-checked
+    EXPECT_TRUE(walker.events().empty());
+    EXPECT_TRUE(walker.currentPath().empty());
+  }
+  // A usable walker treats an out-of-range node as a corrupt stream.
+  obs::PathWalker walker{0, 3, 4};
+  EXPECT_THROW(walker.onRouteChange(1_sec, 4, 3, 1), std::runtime_error);
+  EXPECT_THROW(walker.onRouteChange(1_sec, 0, 7, 1), std::runtime_error);
+}
+
+// ------------------------------------------- stats walker vs the live FIB
+
+/// At every RouteChange, the stats walker's current path (and its loop /
+/// black-hole flags) must be Network::fibWalk over the real FIBs. The
+/// walker reads only route-change hooks, so this pins its column shadow to
+/// the tables it stands in for. Hooks fire before the trace event, so the
+/// walker has already seen the change being checked.
+class LiveFibOracle final : public obs::TraceSink {
+ public:
+  explicit LiveFibOracle(Scenario& sc) : sc_{sc} {}
+
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    if (ev.kind != obs::TraceKind::RouteChange) return;
+    ++checks;
+    bool loop = false;
+    bool blackhole = false;
+    const auto live = sc_.network().fibWalk(sc_.sender(), sc_.receiver(), &loop, &blackhole);
+    const auto& events = sc_.stats().pathWalker().events();
+    const bool same = !events.empty() && events.back().path == live &&
+                      events.back().loop == loop && events.back().blackhole == blackhole;
+    if (!same && mismatches++ == 0) firstMismatchAt = ev.t;
+  }
+
+  std::uint64_t checks = 0;
+  std::uint64_t mismatches = 0;
+  Time firstMismatchAt{};
+
+ private:
+  Scenario& sc_;
+};
+
+void expectWalkerTracksLiveFib(const ScenarioConfig& cfg, const char* label) {
+  Scenario sc{cfg};
+  LiveFibOracle oracle{sc};
+  sc.attachTraceSink(&oracle);
+  sc.run();
+  EXPECT_GT(oracle.checks, 0u) << label;
+  EXPECT_EQ(oracle.mismatches, 0u) << label << ": first mismatch at t="
+                                   << oracle.firstMismatchAt.toSeconds();
+}
+
+TEST(Stats, WalkerTracksLiveFibOnGoldenConfigs) {
+  // The 20 pinned golden scenarios (tests/test_perf_gate.cpp).
+  for (const ProtocolKind kind :
+       {ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp, ProtocolKind::Bgp3}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      ScenarioConfig cfg;
+      cfg.protocol = kind;
+      cfg.mesh.degree = 4;
+      cfg.seed = seed;
+      const std::string label = std::string{toString(kind)} + " seed " + std::to_string(seed);
+      expectWalkerTracksLiveFib(cfg, label.c_str());
+    }
+  }
+}
+
+TEST(Stats, WalkerTracksLiveFibUnderEcmp) {
+  // Alternates never reach the walk: both sides follow primaries only.
+  ScenarioConfig cfg;
+  cfg.protocol = ProtocolKind::Dbf;
+  cfg.mesh.degree = 4;
+  cfg.seed = 3;
+  cfg.ecmp = true;
+  expectWalkerTracksLiveFib(cfg, "dbf ecmp=on");
+}
+
+TEST(Stats, WalkerTracksLiveFibThroughCrashAndRestart) {
+  // A crash wipes the node's FIB through Node::clearRoutes, one route
+  // change per entry; the restart rebuilds it from scratch.
+  ScenarioConfig cfg;
+  cfg.protocol = ProtocolKind::Dbf;
+  cfg.seed = 2;
+  cfg.injectFailure = false;
+  cfg.faultPlan = fault::FaultPlan::parse("400:crash:24;460:restart:24");
+  expectWalkerTracksLiveFib(cfg, "crash/restart");
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 //       and MRAI timeline from a recorded trace — no simulation.
 //   rcsim-trace [key=value ...] --selftest
 //       Run a scenario with tracing on, replay the captured stream, and
-//       verify the reconstruction agrees with the live PathTracer exactly.
-//       Exit 0 on agreement, 1 on divergence.
+//       verify the reconstruction agrees exactly with the live path record
+//       and the online analyzer, and that the final path is the live FIB
+//       walk. Exit 0 on agreement, 1 on divergence.
 //
 // Live-mode events (tab-separated): time  kind  detail
 //   rt    <node> dst=<d> <old> -> <new>        FIB change
@@ -130,28 +131,21 @@ int runSelftest(const ScenarioConfig& cfg) {
   opt.nodeCount = sc.network().nodeCount();
   const obs::ReplayResult r = obs::replayTrace(sink.events(), opt);
 
-  const auto* tracer = sc.stats().tracer();
-  if (tracer == nullptr) {
-    std::fprintf(stderr, "selftest: scenario has no path tracer\n");
+  // The stats walker follows route-change hooks, never the FIB itself:
+  // it must equal the replay of the recorded stream event for event, and
+  // its final path must be the live FIB walk.
+  const auto& walker = sc.stats().pathWalker();
+  const auto& live = walker.events();
+  if (live != r.pathEvents) {
+    std::fprintf(stderr, "selftest: FAIL — live %zu path events diverge from replay's %zu\n",
+                 live.size(), r.pathEvents.size());
     return 1;
   }
-  const auto& live = tracer->events();
-  if (live.size() != r.pathEvents.size()) {
-    std::fprintf(stderr, "selftest: FAIL — live %zu path events, replay %zu\n", live.size(),
-                 r.pathEvents.size());
+  if (walker.currentPath() != sc.network().fibWalk(sc.sender(), sc.receiver())) {
+    std::fprintf(stderr, "selftest: FAIL — final walked path differs from the live FIB walk\n");
     return 1;
   }
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const auto& a = live[i];
-    const auto& b = r.pathEvents[i];
-    if (a.t != b.t || a.path != b.path || a.loop != b.loop || a.blackhole != b.blackhole) {
-      std::fprintf(stderr, "selftest: FAIL — path event %zu diverges at t=%.9f\n", i,
-                   a.t.toSeconds());
-      return 1;
-    }
-  }
-  // Third implementation of the same reconstruction: the streaming
-  // ConvergenceAnalyzer that watched the run live must agree with the
+  // The streaming ConvergenceAnalyzer that watched the run live must agree with the
   // offline replay element-wise (the fuzzer enforces this on random
   // scenarios; the selftest pins it on the canonical ones).
   if (const auto* anatomy = sc.convergenceAnalyzer()) {
@@ -304,7 +298,7 @@ int main(int argc, char** argv) {
   sc.run();
 
   if (want("path")) {
-    for (const auto& e : sc.stats().tracer()->events()) {
+    for (const auto& e : sc.stats().pathWalker().events()) {
       if (!inWindow(e.t)) continue;
       printPathEvent(e.t, e.path, e.loop, e.blackhole);
     }
