@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
       json = false;
     } else if (arg == "--check-invariants") {
       // Scenario reads the env var at construction, so this covers every
-      // replica including custom cell runners.
+      // replica.
       setenv("RCSIM_CHECK_INVARIANTS", "1", 1);
     } else if (arg.rfind("--watchdog=", 0) == 0) {
       const std::string v = value("--watchdog=");

@@ -64,6 +64,20 @@ RCSIM_RUNS=1 RCSIM_CHECK_INVARIANTS=1 "$BUILD/bench/rcsim_bench" --only=ext_real
 test -s "$smoke_out/ext_realtopo.json"
 grep -q '"topology=named"' "$smoke_out/ext_realtopo.json"
 
+# One run path: E6's link churn and E4's Tdown receiver cut are fault-plan
+# events run through runScenario, here under the invariant checker. Their
+# artifacts must carry the plan in `config` and no custom cell runner.
+RCSIM_RUNS=1 "$BUILD/bench/rcsim_bench" --only=ext_churn --only=ext_assertions \
+  --check-invariants --out="$smoke_out" > /dev/null
+for exp in ext_churn ext_assertions; do
+  if grep -Eq '"custom_runner": *true' "$smoke_out/$exp.json"; then
+    echo "ci: $exp has a custom cell runner" >&2
+    exit 1
+  fi
+done
+grep -q 'fault-plan=390:churn:120:10:790' "$smoke_out/ext_churn.json"
+grep -q 'fault-plan=400:partition:dst' "$smoke_out/ext_assertions.json"
+
 # Fuzz smoke: a fixed-seed coverage-guided campaign must complete its
 # budget without findings and with a stable corpus digest (the digest is
 # printed for the log; determinism itself is covered by FuzzCampaign.*

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Exit-status contracts of rcsim_bench and rcsim_fuzz, as documented in
-# their --help (highest precedence first): 2 usage error > 130
-# interrupted > 3 failed cells (bench) / 4 findings (fuzz) > 0.
+# Exit-status contracts of rcsim_bench, rcsim_fuzz and rcsim, as
+# documented in their --help (highest precedence first): 2 usage error >
+# 130 interrupted > 3 failed cells (bench) / 4 findings (fuzz) /
+# 1 replica error (rcsim) > 0.
 # Registered as the `bench_exit_codes` ctest; also runnable by hand:
 #
-#   scripts/exit_codes_test.sh build/bench/rcsim_bench [build/tools/rcsim_fuzz]
+#   scripts/exit_codes_test.sh build/bench/rcsim_bench \
+#     [build/tools/rcsim_fuzz [build/tools/rcsim]]
 set -u
 
-BENCH=${1:?usage: exit_codes_test.sh path/to/rcsim_bench [path/to/rcsim_fuzz]}
+BENCH=${1:?usage: exit_codes_test.sh path/to/rcsim_bench [path/to/rcsim_fuzz [path/to/rcsim]]}
 FUZZ=${2:-}
+RCSIM=${3:-}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -145,6 +148,25 @@ if [ -n "$FUZZ" ]; then
   # --- 0: clean campaign -----------------------------------------------
   "$FUZZ" --seed=1 --budget=2 --quiet >/dev/null 2>&1
   expect 0 $? "fuzz: clean campaign"
+fi
+
+# ======================================================================
+# rcsim: 2 usage > 1 replica error > 0 (skipped when no rcsim is given).
+if [ -n "$RCSIM" ]; then
+  "$RCSIM" --no-such-option >/dev/null 2>&1
+  expect 2 $? "rcsim: unknown option"
+
+  # A plan naming a link the 7x7 mesh lacks throws inside the replica;
+  # rcsim must report it and exit 1, not abort.
+  "$RCSIM" fault-plan=400:fail:0-99 --runs=1 >/dev/null 2>"$WORK/rcsim.err"
+  expect 1 $? "rcsim: dangling fault-plan link"
+  if ! grep -q '^error: ' "$WORK/rcsim.err"; then
+    echo "FAIL rcsim replica error not reported as 'error: <what>'"
+    fails=$((fails + 1))
+  fi
+
+  "$RCSIM" no-failure=1 fault-plan=390:churn:30:5:450 end-at=500 --runs=1 >/dev/null 2>&1
+  expect 0 $? "rcsim: short churn plan"
 fi
 
 if [ "$fails" -ne 0 ]; then

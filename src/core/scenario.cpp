@@ -119,12 +119,13 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
   }
 
   // Declarative fault schedule. The factory lets the injector rebuild a
-  // crashed node's protocol without knowing which protocol the run uses.
+  // crashed node's protocol without knowing which protocol the run uses;
+  // the plan's `dst` token names flow 0's receiver.
   if (!cfg_.faultPlan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
-        *net_, cfg_.faultPlan, [this](Node& node) {
-          return makeProtocol(cfg_.protocol, node, cfg_.protoCfg);
-        });
+        *net_, cfg_.faultPlan,
+        [this](Node& node) { return makeProtocol(cfg_.protocol, node, cfg_.protoCfg); },
+        flows_[0].receiver, cfg_.seed);
     // Route-table snapshot just before the first plan event fires. The
     // callback is synchronous (no scheduler event), so event counts — and
     // with them every pinned digest — stay untouched.

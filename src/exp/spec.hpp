@@ -19,15 +19,16 @@
 namespace rcsim::exp {
 
 /// One grid cell: a fully-specified scenario replicated over seeds
-/// startSeed .. startSeed+runs-1. `run` defaults to runScenario; cells
-/// that need extra wiring (churn injectors, custom failure schedules)
-/// install their own runner and still return a plain RunResult.
+/// startSeed .. startSeed+runs-1, each through runScenario. Faults beyond
+/// the path-targeted failure belong in config.faultPlan, so the config
+/// alone reproduces the cell. `run` is a test seam only (synthetic or
+/// throwing replicas for executor tests); no registered cell sets it.
 struct CellSpec {
   std::string id;     ///< unique within the experiment, e.g. "RIP/degree=3"
   std::string label;  ///< short column/row label for console tables
   ScenarioConfig config;
   std::uint64_t startSeed = 1;
-  std::function<RunResult(const ScenarioConfig&)> run;  ///< empty = runScenario
+  std::function<RunResult(const ScenarioConfig&)> run;  ///< test seam; empty = runScenario
 };
 
 /// Exact sums over a cell's replicas for the counters Aggregate does not

@@ -1,13 +1,11 @@
-// Extensions E1..E6 as registered experiment specs. E4's Tdown part and
-// E6 need more than runScenario (a custom failure schedule, a churn
-// injector), so their cells install custom run functions; everything else
-// is plain declarative grid.
+// Extensions E1..E9 as registered experiment specs. Every cell is plain
+// declarative grid run through runScenario: faults beyond the paper's one
+// path-targeted failure (E4's Tdown cut, E6's churn) are fault-plan events.
 
 #include <cstdio>
 #include <functional>
 #include <string>
 
-#include "core/churn.hpp"
 #include "exp/registry.hpp"
 #include "exp/specs.hpp"
 #include "exp/specs_common.hpp"
@@ -163,29 +161,6 @@ void registerRandomTopo() {
   registerExperiment(std::move(spec));
 }
 
-/// E4's Tdown part: disconnect the destination entirely (fail every link
-/// of the receiver's router at t=failAt) and time until all routes are
-/// withdrawn network-wide. Traffic stops at the failure — this measures
-/// routing, not delivery.
-RunResult runTdown(const ScenarioConfig& cfg) {
-  Scenario sc{cfg};
-  sc.stats().routeLog().setWatermark(cfg.failAt);
-  Network& net = sc.network();
-  const NodeId victim = sc.receiver();
-  sc.scheduler().scheduleAt(cfg.failAt, EventKind::Fault, [&net, victim] {
-    for (const NodeId nb : net.node(victim).neighbors()) {
-      net.findLink(victim, nb)->fail();
-    }
-  });
-  sc.run();
-  RunResult r;
-  r.protocol = cfg.protocol;
-  r.degree = cfg.mesh.degree;
-  r.seed = cfg.seed;
-  r.routingConvergenceSec = sc.stats().routeLog().convergenceSeconds();
-  return r;
-}
-
 // E4 — consistency assertions (the paper's ref [21], Pei et al.): Tshort
 // grid first, then the Tdown slow-convergence case where [21] reports the
 // big win.
@@ -224,10 +199,13 @@ void registerAssertions() {
       cell.config.protocol = v.kind;
       cell.config.mesh.degree = d;
       cell.config.protoCfg.bgp.consistencyAssertions = v.assertions;
-      cell.config.injectFailure = false;  // runTdown injects the node-isolating cut
+      // Tdown: disconnect the receiver entirely at t=failAt and time until
+      // all routes are withdrawn network-wide. Traffic stops at the cut —
+      // this measures routing, not delivery.
+      cell.config.injectFailure = false;
+      cell.config.faultPlan = fault::FaultPlan::parse("400:partition:dst");
       cell.config.trafficStop = cell.config.failAt;
       cell.config.endAt = Time::seconds(1600.0);  // plain BGP explores for many MRAIs
-      cell.run = runTdown;
       spec.cells.push_back(std::move(cell));
     }
   }
@@ -307,26 +285,6 @@ void registerDual() {
   registerExperiment(std::move(spec));
 }
 
-/// E6's cell runner: every link flaps with exponential up/down times for
-/// the whole traffic window; the single surgical failure is replaced by
-/// the injector.
-RunResult runChurn(const ScenarioConfig& cfg) {
-  Scenario sc{cfg};
-  ChurnInjector::Config churnCfg;
-  churnCfg.start = cfg.trafficStart;
-  churnCfg.stop = cfg.trafficStop;
-  ChurnInjector churn{sc.network(), Rng{cfg.seed * 7919 + 13}, churnCfg};
-  churn.install();
-  sc.run();
-  RunResult r;
-  r.protocol = cfg.protocol;
-  r.degree = cfg.mesh.degree;
-  r.seed = cfg.seed;
-  r.sent = sc.packetsSent();
-  r.data = sc.stats().data();
-  return r;
-}
-
 // E6 — availability under continuous churn: long-run delivery ratio with
 // every link flapping (MTBF 120 s, MTTR 10 s).
 void registerChurn() {
@@ -348,9 +306,11 @@ void registerChurn() {
       cell.config = baseConfig();
       cell.config.protocol = kind;
       cell.config.mesh.degree = d;
-      cell.config.injectFailure = false;  // churn replaces the single failure
+      // Every link flaps for the whole traffic window; churn replaces the
+      // single surgical failure.
+      cell.config.injectFailure = false;
       cell.config.trafficStop = Time::seconds(790.0);
-      cell.run = runChurn;
+      cell.config.faultPlan = fault::FaultPlan::parse("390:churn:120:10:790");
       spec.cells.push_back(std::move(cell));
     }
   }
@@ -375,8 +335,7 @@ void registerChurn() {
 // E7 — declarative fault-plan severity ladder: the same (protocol, mesh)
 // grid pushed through increasingly hostile FaultPlans, from a clean
 // baseline to a crash under ambient loss. Everything is plain declarative
-// config (fault-plan= round-trips through the artifact), no custom
-// runners.
+// config (fault-plan= round-trips through the artifact).
 void registerFaultplan() {
   ExperimentSpec spec;
   spec.name = "ext_faultplan";

@@ -6,13 +6,28 @@
 
 namespace rcsim::fault {
 
-FaultInjector::FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory)
-    : net_{net}, plan_{std::move(plan)}, factory_{std::move(factory)} {}
+FaultInjector::FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory, NodeId dst,
+                             std::uint64_t seed)
+    : net_{net},
+      plan_{std::move(plan)},
+      factory_{std::move(factory)},
+      churnRng_{seed * 7919 + 13} {
+  const auto resolve = [dst](NodeId& n) {
+    if (n == kFlowDst) n = dst;
+  };
+  for (auto& ev : plan_.events) {
+    resolve(ev.a);
+    resolve(ev.b);
+    for (auto& g : ev.group) resolve(g);
+  }
+}
 
 void FaultInjector::install() {
   auto& sched = net_.scheduler();
+  // plan_ is never modified after construction, so events are referenced
+  // in place (churn cycles keep using theirs for the rest of the run).
   for (const auto& ev : plan_.events) {
-    sched.scheduleAt(ev.at, EventKind::Fault, [this, ev] { apply(ev); });
+    sched.scheduleAt(ev.at, EventKind::Fault, [this, &ev] { apply(ev); });
   }
 }
 
@@ -98,7 +113,36 @@ void FaultInjector::apply(const FaultEvent& ev) {
     case FaultKind::FlapBurst:
       flapBurst(ev);
       break;
+    case FaultKind::Churn:
+      for (const auto& l : net_.links()) armChurn(ev, *l, ev.at);
+      break;
   }
+}
+
+void FaultInjector::armChurn(const FaultEvent& ev, Link& link, Time notBefore) {
+  const Time at = notBefore + Time::seconds(churnRng_.exponential(ev.mtbf));
+  if (at >= ev.stop) return;
+  auto& sched = net_.scheduler();
+  sched.scheduleAt(at, EventKind::Fault, [this, &ev, &link, &sched] {
+    if (!link.isUp()) {
+      // Down through some other fault: re-arm instead of ending this
+      // link's cycle for good.
+      armChurn(ev, link, sched.now());
+      return;
+    }
+    link.fail();
+    ++linkFailures_;
+    const Time repairAt = sched.now() + Time::seconds(churnRng_.exponential(ev.mttr));
+    sched.scheduleAt(repairAt, EventKind::Fault, [this, &ev, &link, &sched] {
+      // Already recovered by another fault: skip the double recover but
+      // keep the cycle alive.
+      if (!link.isUp()) {
+        link.recover();
+        ++linkRecoveries_;
+      }
+      armChurn(ev, link, sched.now());
+    });
+  });
 }
 
 void FaultInjector::flapBurst(const FaultEvent& ev) {

@@ -11,6 +11,7 @@
 #include "fault/plan.hpp"
 #include "net/network.hpp"
 #include "net/routing_protocol.hpp"
+#include "sim/random.hpp"
 
 namespace rcsim::fault {
 
@@ -22,11 +23,19 @@ namespace rcsim::fault {
 /// genuinely lost), fail the node's up links, and clear its FIB; restarts
 /// rebuild the protocol through the injected factory — the injector knows
 /// nothing about which protocol a scenario runs.
+///
+/// Churn events give every link its own up/down cycle with exponential
+/// times, all drawn from one per-run stream seeded from the scenario seed
+/// — the steady-failure regime the paper's introduction motivates ("faults
+/// of various scale and severity occur frequently", Labovitz et al.).
 class FaultInjector {
  public:
   using ProtocolFactory = std::function<std::unique_ptr<RoutingProtocol>(Node&)>;
 
-  FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory);
+  /// `dst` resolves the plan's kFlowDst token (flow 0's receiver); `seed`
+  /// is the scenario seed the churn stream derives from.
+  FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory, NodeId dst,
+                std::uint64_t seed);
 
   /// Schedule every plan event on the network's scheduler. Call once,
   /// before Scheduler::run. Malformed references (unknown link/node)
@@ -58,6 +67,8 @@ class FaultInjector {
   void partition(const std::vector<NodeId>& group);
   void heal(const std::vector<NodeId>& group);
   void flapBurst(const FaultEvent& ev);
+  /// Draw `link`'s next churn failure after `notBefore`; none at or past ev.stop.
+  void armChurn(const FaultEvent& ev, Link& link, Time notBefore);
   /// Apply `fn` to the event's target link(s); throws on a dangling ref.
   void eachTargetLink(const FaultEvent& ev, const std::function<void(Link&)>& fn);
   [[nodiscard]] Link& mustFindLink(NodeId a, NodeId b) const;
@@ -67,6 +78,7 @@ class FaultInjector {
   Network& net_;
   FaultPlan plan_;
   ProtocolFactory factory_;
+  Rng churnRng_;
   std::function<void()> onFirstFault_;
   std::set<NodeId> downNodes_;
   /// Links this injector took down when crashing a node, to recover on

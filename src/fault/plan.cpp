@@ -61,6 +61,7 @@ double parseNum(const std::string& s, const std::string& event) {
 }
 
 NodeId parseNode(const std::string& s, const std::string& event) {
+  if (s == "dst") return kFlowDst;
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(s.c_str(), &end, 10);
@@ -81,6 +82,12 @@ void parseEndpoints(const std::string& s, FaultEvent& ev, bool starOk,
   if (dash == std::string::npos) bad(event, "expected 'A-B' endpoints");
   ev.a = parseNode(s.substr(0, dash), event);
   ev.b = parseNode(s.substr(dash + 1), event);
+}
+
+std::string node(NodeId n) { return n == kFlowDst ? "dst" : std::to_string(n); }
+
+std::string link(const FaultEvent& ev) {
+  return ev.allLinks ? "*" : node(ev.a) + "-" + node(ev.b);
 }
 
 std::vector<std::string> split(const std::string& s, char sep) {
@@ -151,6 +158,16 @@ FaultEvent parseEvent(const std::string& text) {
     ev.count = static_cast<int>(n);
     ev.period = secondsExact(parseNum(fields[4], text));
     if (ev.period <= Time::zero()) bad(text, "period must be > 0 s");
+  } else if (kind == "churn") {
+    want(5);
+    ev.kind = FaultKind::Churn;
+    // Bounded so every exponential draw stays far inside Time's range.
+    ev.mtbf = parseNum(fields[2], text);
+    if (!(ev.mtbf > 0.0 && ev.mtbf <= 1e6)) bad(text, "mtbf must be in (0, 1e6] s");
+    ev.mttr = parseNum(fields[3], text);
+    if (!(ev.mttr > 0.0 && ev.mttr <= 1e6)) bad(text, "mttr must be in (0, 1e6] s");
+    ev.stop = secondsExact(parseNum(fields[4], text));
+    if (ev.stop < ev.at) bad(text, "stop must be >= the start time");
   } else if (kind == "partition" || kind == "heal") {
     want(3);
     ev.kind = kind == "partition" ? FaultKind::Partition : FaultKind::Heal;
@@ -176,45 +193,38 @@ std::string FaultPlan::format() const {
     switch (ev.kind) {
       case FaultKind::LinkFail:
       case FaultKind::LinkRecover:
-        out += std::to_string(ev.a) + "-" + std::to_string(ev.b);
+        out += link(ev);
         break;
       case FaultKind::NodeCrash:
       case FaultKind::NodeRestart:
-        out += std::to_string(ev.a);
+        out += node(ev.a);
         break;
       case FaultKind::LinkLoss:
       case FaultKind::LinkCorrupt:
-        out += ev.allLinks ? "*" : std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + num(ev.rate);
-        break;
-      case FaultKind::LinkReorder:
-        out += ev.allLinks ? "*" : std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + num(ev.rate);
-        out += ':' + millis(ev.jitter);
-        break;
-      case FaultKind::DetectDelay:
-        out += std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + millis(ev.detect);
-        break;
       case FaultKind::CtrlLoss:
       case FaultKind::CtrlDup:
-        out += ev.allLinks ? "*" : std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + num(ev.rate);
+        out += link(ev) + ':' + num(ev.rate);
+        break;
+      case FaultKind::LinkReorder:
+        out += link(ev) + ':' + num(ev.rate) + ':' + millis(ev.jitter);
+        break;
+      case FaultKind::DetectDelay:
+        out += link(ev) + ':' + millis(ev.detect);
         break;
       case FaultKind::CtrlDelay:
-        out += ev.allLinks ? "*" : std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + millis(ev.jitter);
+        out += link(ev) + ':' + millis(ev.jitter);
         break;
       case FaultKind::FlapBurst:
-        out += std::to_string(ev.a) + "-" + std::to_string(ev.b);
-        out += ':' + std::to_string(ev.count);
-        out += ':' + secs(ev.period);
+        out += link(ev) + ':' + std::to_string(ev.count) + ':' + secs(ev.period);
+        break;
+      case FaultKind::Churn:
+        out += num(ev.mtbf) + ':' + num(ev.mttr) + ':' + secs(ev.stop);
         break;
       case FaultKind::Partition:
       case FaultKind::Heal:
         for (std::size_t i = 0; i < ev.group.size(); ++i) {
           if (i > 0) out += ',';
-          out += std::to_string(ev.group[i]);
+          out += node(ev.group[i]);
         }
         break;
     }

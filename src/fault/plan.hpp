@@ -24,7 +24,13 @@ enum class FaultKind {
   CtrlDelay,      ///< Add a fixed delay to control packets on a link (or all).
   CtrlDup,        ///< Set a control-packet duplication rate on a link (or all).
   FlapBurst,      ///< Flap one link n times with the given period.
+  Churn,          ///< Every link flaps with exponential up/down times.
 };
+
+/// The `dst` node token: flow 0's receiver, resolved by the injector from
+/// the scenario it runs in. Lets a plan name the receiver without knowing
+/// which node the endpoint draw picked.
+inline constexpr NodeId kFlowDst = -2;
 
 [[nodiscard]] constexpr const char* toString(FaultKind k) {
   switch (k) {
@@ -42,6 +48,7 @@ enum class FaultKind {
     case FaultKind::CtrlDelay: return "ctrl-delay";
     case FaultKind::CtrlDup: return "ctrl-dup";
     case FaultKind::FlapBurst: return "flapburst";
+    case FaultKind::Churn: return "churn";
   }
   return "?";
 }
@@ -56,6 +63,8 @@ enum class FaultKind {
 ///   CtrlLoss/CtrlDup               a-b (or allLinks) + rate
 ///   CtrlDelay                      a-b (or allLinks) + jitter (the delay)
 ///   FlapBurst                      a-b + count + period
+///   Churn                          mtbf + mttr + stop
+/// Any node field may hold kFlowDst.
 struct FaultEvent {
   Time at = Time::zero();
   FaultKind kind = FaultKind::LinkFail;
@@ -68,6 +77,9 @@ struct FaultEvent {
   std::vector<NodeId> group;   ///< Partition/Heal node set.
   int count = 0;               ///< FlapBurst: number of fail/recover cycles.
   Time period = Time::zero();  ///< FlapBurst: cycle period (down half, up half).
+  double mtbf = 0.0;           ///< Churn: mean seconds a link stays up.
+  double mttr = 0.0;           ///< Churn: mean seconds a link stays down.
+  Time stop = Time::zero();    ///< Churn: no new failures at or after this.
 
   bool operator==(const FaultEvent&) const = default;
 };
@@ -92,6 +104,9 @@ struct FaultEvent {
 ///   395:ctrl-delay:*:250       control packets gain 250ms everywhere
 ///   395:ctrl-dup:24-25:0.2     20% of control packets delivered twice
 ///   400:flapburst:24-25:6:10   flap 24-25 six times: 5s down, 5s up, ...
+///   390:churn:120:10:790       every link fails after Exp(120s) up, recovers
+///                              after Exp(10s) down; no new failures from 790s
+///   400:partition:dst          cut flow 0's receiver off (`dst` is a node token)
 ///
 /// parse(format(p)) == p for every valid plan, so plans round-trip through
 /// describeOptions and the rcsim-experiment-v1 JSON artifacts bit-for-bit.

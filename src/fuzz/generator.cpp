@@ -122,7 +122,7 @@ fault::FaultPlan generateFaultPlan(Rng& rng, const Topology& topo, double window
       std::tie(ev.a, ev.b) = drawEdge(rng, topo);
       ev.count = static_cast<int>(rng.uniformInt(1, 5));
       ev.period = Time::seconds(static_cast<double>(rng.uniformInt(2, 20)));
-    } else if (pick < 90) {
+    } else if (pick < 88) {
       ev.kind = fault::FaultKind::Partition;
       ev.group = drawGroup(rng, topo);
       if (rng.uniform01() < 0.6) {
@@ -132,6 +132,13 @@ fault::FaultPlan generateFaultPlan(Rng& rng, const Topology& topo, double window
         heal.at = Time::seconds(roundMs(ev.at.toSeconds() + rng.uniform(1.0, 60.0)));
         plan.events.push_back(heal);
       }
+    } else if (pick < 91) {
+      // Every link flaps for a short window; it references no node, so it
+      // is valid on any topology.
+      ev.kind = fault::FaultKind::Churn;
+      ev.mtbf = static_cast<double>(rng.uniformInt(5, 60));
+      ev.mttr = static_cast<double>(rng.uniformInt(1, 10));
+      ev.stop = Time::seconds(roundMs(ev.at.toSeconds() + rng.uniform(1.0, 60.0)));
     } else {
       // Deliberate mismatches: recover a link that never failed, restart a
       // node that never crashed. The injector specifies these as no-ops;
@@ -238,6 +245,11 @@ ScenarioConfig generateScenario(Rng& rng) {
   const Topology topo = scenarioTopology(cfg);
   cfg.faultPlan = generateFaultPlan(rng, topo, start, stop);
   return cfg;
+}
+
+void retimeEvent(fault::FaultEvent& ev, Time at) {
+  if (ev.kind == fault::FaultKind::Churn) ev.stop = ev.stop + (at - ev.at);
+  ev.at = at;
 }
 
 fault::FaultPlan remapPlanToTopology(const fault::FaultPlan& plan, const Topology& topo,

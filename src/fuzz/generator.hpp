@@ -32,6 +32,11 @@ namespace rcsim::fuzz {
 /// the simulator's problem — which is the point.
 [[nodiscard]] ScenarioConfig generateScenario(Rng& rng);
 
+/// Move an event to `at`. A churn event carries its window along (stop
+/// shifts by the same amount), so mutation and minimization treat it as
+/// one unit that stays valid.
+void retimeEvent(fault::FaultEvent& ev, Time at);
+
 /// Rewrite a fault plan so every reference is valid for `topo`: dangling
 /// link endpoints are redrawn from the real edge list, node ids are
 /// clamped into range, out-of-range partition members are dropped.

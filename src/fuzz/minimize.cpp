@@ -28,7 +28,8 @@ bool planReferencesNode(const fault::FaultPlan& plan, NodeId n) {
 
 /// Remove node `n` from an inline topology, shifting every id above it
 /// down by one (edges, pins, plan references). Caller guarantees the plan
-/// does not reference `n` itself.
+/// does not reference `n` itself. shift() leaves negative ids alone, so
+/// the `dst` token stays put and follows the receiver via pinDst.
 ScenarioConfig removeInlineNode(const ScenarioConfig& cfg, NodeId n) {
   ScenarioConfig out = cfg;
   auto shift = [n](NodeId id) { return id > n ? id - 1 : id; };
@@ -94,13 +95,14 @@ MinimizeResult minimizeFinding(const ScenarioConfig& cfg, const RunOutcome& orig
     }
   }
 
-  // Phase 2: round surviving event times to whole seconds.
+  // Phase 2: round surviving event times to whole seconds (a churn
+  // window moves with its start).
   for (std::size_t i = 0; i < best.faultPlan.events.size(); ++i) {
     const double sec = best.faultPlan.events[i].at.toSeconds();
     const double rounded = std::max(1.0, std::round(sec));
     if (rounded == sec) continue;
     ScenarioConfig cand = best;
-    cand.faultPlan.events[i].at = Time::seconds(rounded);
+    retimeEvent(cand.faultPlan.events[i], Time::seconds(rounded));
     accept(cand);
   }
 
@@ -116,6 +118,7 @@ MinimizeResult minimizeFinding(const ScenarioConfig& cfg, const RunOutcome& orig
     double lastEvent = best.trafficStop.toSeconds();
     for (const auto& ev : best.faultPlan.events) {
       lastEvent = std::max(lastEvent, ev.at.toSeconds());
+      if (ev.kind == fault::FaultKind::Churn) lastEvent = std::max(lastEvent, ev.stop.toSeconds());
     }
     const double shortEnd = std::ceil(lastEvent) + 10.0;
     if (shortEnd < best.endAt.toSeconds()) {

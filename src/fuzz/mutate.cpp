@@ -28,7 +28,7 @@ ScenarioConfig mutateScenario(const ScenarioConfig& base, Rng& rng) {
       auto& ev = cfg.faultPlan.events[static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(cfg.faultPlan.events.size()) - 1))];
       const double scaled = ev.at.toSeconds() * rng.uniform(0.8, 1.2);
-      ev.at = Time::seconds(std::max(0.001, std::round(scaled * 1000.0) / 1000.0));
+      retimeEvent(ev, Time::seconds(std::max(0.001, std::round(scaled * 1000.0) / 1000.0)));
       break;
     }
     case 2:  // drop one fault event

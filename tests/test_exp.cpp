@@ -57,9 +57,49 @@ TEST(ExperimentRegistry, HasEveryBuiltinInRegenerationOrder) {
     EXPECT_TRUE(static_cast<bool>(all[i].render)) << expected[i];
     EXPECT_GT(all[i].defaultRuns, 0) << expected[i];
     EXPECT_GE(all[i].paperRuns, all[i].defaultRuns) << expected[i];
+    // One run path: every cell goes through runScenario, so its config
+    // alone reproduces it; `run` is only a test seam.
+    for (const auto& cell : all[i].cells) {
+      EXPECT_FALSE(static_cast<bool>(cell.run)) << expected[i] << " " << cell.id;
+    }
   }
   EXPECT_NE(findExperiment("fig3_drops"), nullptr);
   EXPECT_EQ(findExperiment("no_such_experiment"), nullptr);
+}
+
+// E6 churn and E4 Tdown are fault-plan cells. These numbers were recorded
+// before they were, when each had its own cell runner; the plan path must
+// reproduce them exactly.
+TEST(ExperimentRegistry, ChurnAndTdownPlansReproducePinnedNumbers) {
+  registerBuiltinExperiments();
+  auto cellConfig = [](const char* experiment, const std::string& id) {
+    const ExperimentSpec* spec = findExperiment(experiment);
+    EXPECT_NE(spec, nullptr);
+    for (const auto& cell : spec->cells) {
+      if (cell.id == id) return cell.config;
+    }
+    ADD_FAILURE() << "no cell " << id << " in " << experiment;
+    return ScenarioConfig{};
+  };
+
+  ScenarioConfig churn = cellConfig("ext_churn", "DBF/degree=3");
+  EXPECT_EQ(churn.faultPlan.format(), "390:churn:120:10:790");
+  const std::uint64_t delivered[] = {6696, 5453};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    churn.seed = seed;
+    const RunResult r = runScenario(churn);
+    EXPECT_EQ(r.sent, 8000u) << "seed " << seed;
+    EXPECT_EQ(r.data.delivered, delivered[seed - 1]) << "seed " << seed;
+  }
+
+  ScenarioConfig tdown = cellConfig("ext_assertions", "Tdown/BGP3/degree=4");
+  EXPECT_EQ(tdown.faultPlan.format(), "400:partition:dst");
+  const double convergence[] = {23.942739965, 26.062781244};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    tdown.seed = seed;
+    EXPECT_EQ(runScenario(tdown).routingConvergenceSec, convergence[seed - 1])
+        << "seed " << seed;
+  }
 }
 
 TEST(ExperimentRegistry, RejectsBadSpecs) {
@@ -160,8 +200,8 @@ TEST(SweepExecutor, PipelinesMultipleJobs) {
             aggregateDigest(Aggregate::over(runMany(second.cells[0].config, 3, 1, 1))));
 }
 
-// Cells with custom run functions (Tdown, churn) must fold their results
-// in seed order like everything else.
+// CellSpec::run is the executor's test seam: synthetic replicas must fold
+// in seed order like runScenario results. No registered cell uses it.
 TEST(SweepExecutor, RunsCustomCellRunners) {
   ExperimentSpec spec;
   spec.name = "custom_runner";

@@ -32,10 +32,11 @@ TEST(FaultPlan, RoundTripsEveryKind) {
       "395:loss:*:0.02;395:corrupt:24-25:0.01;396:reorder:*:0.1:50;"
       "397:ctrl-loss:*:0.2;397:ctrl-delay:24-25:250;398:ctrl-dup:*:0.5;"
       "399:detect:24-25:2000;400:fail:24-25;400:crash:24;400:partition:0,1,2;"
+      "390:churn:120:10:790;400:partition:dst;405:fail:dst-3;410:crash:dst;"
       "420:flapburst:24-25:3:10;"
       "460:heal:0,1,2;460:restart:24;460:recover:24-25";
   const FaultPlan p = FaultPlan::parse(text);
-  ASSERT_EQ(p.events.size(), 14u);
+  ASSERT_EQ(p.events.size(), 18u);
   EXPECT_EQ(p.format(), text);               // input was already canonical
   EXPECT_EQ(FaultPlan::parse(p.format()), p);  // and the form is stable
 }
@@ -64,6 +65,7 @@ TEST(FaultPlan, RejectsMalformedEvents) {
       "400:detect:1-2:-1",      // negative detect delay
       "400:partition:",         // empty group
       "400:fail:1-2:extra",     // too many fields for the kind
+      "400:fail:dest-2",        // only 'dst' is a node token
       "400:ctrl-loss:*",        // missing rate
       "400:ctrl-loss:*:1.5",    // rate out of range
       "400:ctrl-dup:1-2:-0.1",  // rate out of range
@@ -73,6 +75,16 @@ TEST(FaultPlan, RejectsMalformedEvents) {
       "400:flapburst:1-2:2.5:10",  // non-integer count
       "400:flapburst:1-2:3:0",  // period must be > 0
       "400:flapburst:1-2:3",    // missing period
+      "400:churn:0:10:790",     // mtbf must be > 0
+      "400:churn:-5:10:790",    // mtbf must be > 0
+      "400:churn:120:0:790",    // mttr must be > 0
+      "400:churn:120:-1:790",   // mttr must be > 0
+      "400:churn:inf:10:790",   // mtbf must be finite (and <= 1e6 s)
+      "400:churn:120:2e6:790",  // mttr must be <= 1e6 s
+      "400:churn:120:10:399",   // stop before start
+      "400:churn:120:10",       // missing stop
+      "400:churn:120:10:790:1", // too many fields
+      "400:churn:*:10:790",     // mtbf is a number, not endpoints
   };
   for (const auto& text : bad) {
     EXPECT_THROW((void)FaultPlan::parse(text), std::invalid_argument) << text;
@@ -87,7 +99,7 @@ TEST(FaultPlan, RejectsMalformedEvents) {
 fault::FaultEvent randomFaultEvent(Rng& rng) {
   fault::FaultEvent ev;
   ev.at = Time::nanoseconds(rng.uniformInt(0, 2'000'000'000'000LL));
-  switch (rng.uniformInt(0, 13)) {
+  switch (rng.uniformInt(0, 14)) {
     case 0: ev.kind = fault::FaultKind::LinkFail; break;
     case 1: ev.kind = fault::FaultKind::LinkRecover; break;
     case 2: ev.kind = fault::FaultKind::NodeCrash; break;
@@ -101,6 +113,7 @@ fault::FaultEvent randomFaultEvent(Rng& rng) {
     case 10: ev.kind = fault::FaultKind::CtrlDelay; break;
     case 11: ev.kind = fault::FaultKind::CtrlDup; break;
     case 12: ev.kind = fault::FaultKind::FlapBurst; break;
+    case 13: ev.kind = fault::FaultKind::Churn; break;
     default: ev.kind = fault::FaultKind::Heal; break;
   }
   switch (ev.kind) {
@@ -143,6 +156,11 @@ fault::FaultEvent randomFaultEvent(Rng& rng) {
       ev.count = static_cast<int>(rng.uniformInt(1, 1000));
       ev.period = Time::seconds(static_cast<double>(rng.uniformInt(1, 3600)));
       break;
+    case fault::FaultKind::Churn:
+      ev.mtbf = rng.uniform(0.001, 1000.0);
+      ev.mttr = rng.uniform(0.001, 1000.0);
+      ev.stop = ev.at + Time::nanoseconds(rng.uniformInt(0, 2'000'000'000'000LL));
+      break;
     case fault::FaultKind::Partition:
     case fault::FaultKind::Heal: {
       const auto size = rng.uniformInt(1, 12);
@@ -152,6 +170,9 @@ fault::FaultEvent randomFaultEvent(Rng& rng) {
       break;
     }
   }
+  // Sprinkle the `dst` token over node references.
+  if (ev.a != kInvalidNode && rng.uniform01() < 0.1) ev.a = fault::kFlowDst;
+  if (!ev.group.empty() && rng.uniform01() < 0.1) ev.group.front() = fault::kFlowDst;
   return ev;
 }
 
@@ -340,11 +361,122 @@ TEST(FaultInjector, FlapBurstCountsFailuresAndRecoveries) {
   EXPECT_TRUE(sc.network().findLink(24, 25)->isUp());
 }
 
+TEST(FaultInjector, DstTokenIsolatesTheReceiver) {
+  ScenarioConfig cfg = faultBase(6);
+  cfg.faultPlan = FaultPlan::parse("400:partition:dst;460:heal:dst");
+  Scenario sc{cfg};
+  sc.run();
+  const auto* inj = sc.faultInjector();
+  ASSERT_NE(inj, nullptr);
+  // Every link of the receiver's router (degree 4, or fewer on the mesh
+  // border) is cut, and the matching heal restores exactly those.
+  const auto degree = sc.network().node(sc.receiver()).neighbors().size();
+  EXPECT_EQ(inj->linkFailures(), degree);
+  EXPECT_EQ(inj->linkRecoveries(), degree);
+  for (const auto& link : sc.network().links()) EXPECT_TRUE(link->isUp());
+}
+
 TEST(FaultInjector, DanglingLinkReferenceThrowsAtEventTime) {
   ScenarioConfig cfg = faultBase(5);
   cfg.faultPlan = FaultPlan::parse("400:fail:0-48");  // not an edge of the mesh
   Scenario sc{cfg};
   EXPECT_THROW(sc.run(), std::runtime_error);
+}
+
+// ------------------------------------------------------------------ churn
+
+ScenarioConfig churnBase(std::uint64_t seed, const std::string& plan) {
+  ScenarioConfig cfg;
+  cfg.protocol = ProtocolKind::LinkState;  // fastest to reconverge
+  cfg.mesh.degree = 6;
+  cfg.seed = seed;
+  cfg.injectFailure = false;
+  cfg.trafficStart = 50_sec;
+  cfg.trafficStop = 250_sec;
+  cfg.endAt = 300_sec;
+  cfg.faultPlan = FaultPlan::parse(plan);
+  return cfg;
+}
+
+TEST(Churn, InjectsFailuresAndRepairs) {
+  Scenario sc{churnBase(3, "50:churn:30:5:250")};
+  sc.run();
+  const auto* inj = sc.faultInjector();
+  ASSERT_NE(inj, nullptr);
+  EXPECT_GT(inj->linkFailures(), 10u);
+  // Every failure before the stop gets a repair eventually (repairs may lag
+  // the last failures by one MTTR, still inside the 50 s drain window).
+  EXPECT_GE(inj->linkRecoveries() + 5, inj->linkFailures());
+}
+
+TEST(Churn, DeterministicPerSeed) {
+  auto run = [](std::uint64_t seed) {
+    Scenario sc{churnBase(seed, "50:churn:120:10:250")};
+    sc.run();
+    return std::make_pair(sc.faultInjector()->linkFailures(), sc.stats().data().delivered);
+  };
+  EXPECT_EQ(run(5), run(5));
+  // The churn stream derives from the scenario seed.
+  EXPECT_NE(run(5), run(6));
+}
+
+TEST(Churn, NoNewFailuresAfterStop) {
+  Scenario sc{churnBase(7, "50:churn:20:2:150")};
+  sc.run();
+  // After stop + repairs drain, every link must be up again.
+  for (const auto& link : sc.network().links()) {
+    EXPECT_TRUE(link->isUp());
+  }
+  const auto* inj = sc.faultInjector();
+  EXPECT_GT(inj->linkFailures(), 0u);
+  EXPECT_EQ(inj->linkFailures(), inj->linkRecoveries());
+}
+
+// Stop boundary: `at >= stop` gates new failures, so a zero-length churn
+// window (stop == start) must inject nothing at all — including a draw
+// landing exactly on the boundary.
+TEST(Churn, ZeroWindowInjectsNothing) {
+  Scenario sc{churnBase(11, "50:churn:120:10:50")};
+  sc.run();
+  EXPECT_EQ(sc.faultInjector()->linkFailures(), 0u);
+  EXPECT_EQ(sc.faultInjector()->linkRecoveries(), 0u);
+}
+
+// When another fault touched a link first, churn's already-down /
+// already-up paths must re-arm rather than end churn for that link. One
+// link between two nodes: the plan holds it down across [10 s, 60 s), and
+// from 60 s recovers it every half second, so some recover lands while a
+// churn repair is pending.
+TEST(Churn, SurvivesExternalInterference) {
+  ScenarioConfig cfg;
+  cfg.topology = TopologyKind::Inline;
+  cfg.inlineTopo.nodes = 2;
+  cfg.inlineTopo.edges = {{0, 1}};
+  cfg.injectFailure = false;
+  cfg.trafficStart = 5_sec;
+  cfg.trafficStop = 300_sec;
+  cfg.endAt = 400_sec;
+  std::string plan = "0:churn:5:1:300;10:fail:0-1";
+  for (int half = 120; half < 200; ++half) {
+    plan += ';';
+    plan += std::to_string(half / 2.0);
+    plan += ":recover:0-1";
+  }
+  cfg.faultPlan = FaultPlan::parse(plan);
+  Scenario sc{cfg};
+  sc.run();
+  // Mean cycle ~6 s over a 300 s window: dozens of failures only if churn
+  // kept running past the collisions.
+  const auto* inj = sc.faultInjector();
+  EXPECT_GT(inj->linkFailures(), 30u);
+  EXPECT_EQ(inj->linkFailures(), inj->linkRecoveries());
+  EXPECT_TRUE(sc.network().findLink(0, 1)->isUp());
+}
+
+TEST(Churn, PacketConservationHolds) {
+  const RunResult r = runScenario(churnBase(9, "50:churn:120:10:250"));
+  EXPECT_EQ(r.residual(), 0);
+  EXPECT_GT(r.data.delivered, 0u);
 }
 
 // -------------------------------------------------------- invariant checker

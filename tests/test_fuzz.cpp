@@ -113,6 +113,32 @@ TEST(FuzzGenerator, ThirtySeedsConstructAndReferenceRealEdges) {
   }
 }
 
+TEST(FuzzGenerator, EmitsShortChurnWindows) {
+  Rng rng{99};
+  const Topology topo = makeRegularMesh(MeshSpec{4, 4, 4});
+  int churns = 0;
+  int events = 0;
+  for (int i = 0; i < 300; ++i) {
+    const fault::FaultPlan plan = generateFaultPlan(rng, topo, 10.0, 50.0);
+    for (const auto& ev : plan.events) {
+      ++events;
+      if (ev.kind != fault::FaultKind::Churn) continue;
+      ++churns;
+      EXPECT_GE(ev.mtbf, 5.0);
+      EXPECT_LE(ev.mtbf, 60.0);
+      EXPECT_GE(ev.mttr, 1.0);
+      EXPECT_LE(ev.mttr, 10.0);
+      EXPECT_GE(ev.stop, ev.at);
+      EXPECT_LE(ev.stop - ev.at, Time::seconds(60.0));
+      EXPECT_EQ(ev.a, kInvalidNode);
+    }
+    EXPECT_EQ(fault::FaultPlan::parse(plan.format()), plan);
+  }
+  // A small share: present, but far from dominating the plans.
+  EXPECT_GT(churns, 0);
+  EXPECT_LT(churns * 10, events);
+}
+
 TEST(FuzzGenerator, SameSeedSameStream) {
   Rng a{7};
   Rng b{7};
@@ -132,6 +158,25 @@ TEST(FuzzMutate, MutantsStayValid) {
     for (const auto& opt : describeOptions(cfg)) applyOptionString(rebuilt, opt);
     EXPECT_EQ(scenarioDigest(rebuilt), scenarioDigest(cfg));
   }
+}
+
+TEST(FuzzMutate, ChurnWindowMovesAsOneEvent) {
+  ScenarioConfig base = tinyConfig();
+  base.faultPlan = fault::FaultPlan::parse("6:churn:10:2:20");
+  Rng rng{5};
+  int retimed = 0;
+  for (int i = 0; i < 80; ++i) {
+    const ScenarioConfig cfg = mutateScenario(base, rng);
+    const auto& ev = cfg.faultPlan.events.front();
+    ASSERT_EQ(ev.kind, fault::FaultKind::Churn);
+    EXPECT_EQ(ev.stop - ev.at, Time::seconds(14.0));
+    if (ev.at != base.faultPlan.events.front().at) ++retimed;
+    // A stop before the start would not parse back.
+    ScenarioConfig rebuilt;
+    for (const auto& opt : describeOptions(cfg)) applyOptionString(rebuilt, opt);
+    EXPECT_EQ(scenarioDigest(rebuilt), scenarioDigest(cfg));
+  }
+  EXPECT_GT(retimed, 0);
 }
 
 TEST(FuzzCoverage, BigramFeaturesAreDeterministicAndBucketed) {
@@ -195,6 +240,24 @@ TEST(FuzzMinimize, DropsIrrelevantEventsAndShrinksTopology) {
   // The minimized config still reproduces the identical finding key.
   const RunOutcome replay = runScenarioOnce(res.config, 30.0);
   EXPECT_EQ(findingKey(replay), findingKey(original));
+}
+
+TEST(FuzzMinimize, DstTokenSurvivesTopologyShrinking) {
+  // "dst-dst" names no link, so the run dies at t=8 whatever the receiver
+  // is; the minimizer freezes and shrinks the mesh around the token
+  // without renumbering it.
+  ScenarioConfig cfg = tinyConfig();
+  cfg.faultPlan = fault::FaultPlan::parse("6:churn:5:1:12;7:crash:4;8:fail:dst-dst");
+  const RunOutcome original = runScenarioOnce(cfg, 30.0);
+  ASSERT_EQ(original.status, RunStatus::Exception);
+
+  MinimizeOptions opts;
+  opts.wallLimitSec = 30.0;
+  const MinimizeResult res = minimizeFinding(cfg, original, opts);
+  EXPECT_EQ(res.config.faultPlan.format(), "8:fail:dst-dst");
+  EXPECT_EQ(res.config.topology, TopologyKind::Inline);
+  EXPECT_LT(res.config.inlineTopo.nodes, 9);
+  EXPECT_EQ(findingKey(runScenarioOnce(res.config, 30.0)), findingKey(original));
 }
 
 TEST(FuzzCampaign, SameSeedSameCorpusDigestAndBank) {

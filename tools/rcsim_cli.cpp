@@ -17,6 +17,7 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/cli.hpp"
 #include "core/options.hpp"
@@ -34,7 +35,10 @@ void printUsage() {
       "  random.avg-degree seed flows traffic rate bytes ttl window\n"
       "  traffic-start traffic-stop failures fail-at fail-spacing\n"
       "  repair-after no-failure end-at bandwidth prop-delay-ms queue\n"
-      "  detect-ms dv.* bgp.* ls.*  (see src/core/options.hpp)\n");
+      "  detect-ms dv.* bgp.* ls.*  (see src/core/options.hpp)\n"
+      "exit status: 0 success; 1 a replica failed (e.g. a fault-plan event\n"
+      "  names a link or node the topology lacks), 'error: <what>' on stderr;\n"
+      "  2 usage error\n");
 }
 
 void printTable(const rcsim::Aggregate& a, int runs) {
@@ -125,7 +129,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
   }
 
-  const auto results = runMany(cfg, runs, cfg.seed, threads);
+  std::vector<RunResult> results;
+  try {
+    results = runMany(cfg, runs, cfg.seed, threads);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   const auto agg = Aggregate::over(results);
   if (format == "table") {
     printTable(agg, runs);
