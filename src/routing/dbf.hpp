@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,11 +16,14 @@ namespace rcsim {
 /// the price of possibly choosing an invalid path and "counting to the
 /// next-best path" instead of counting to infinity (paper §6).
 ///
-/// State is SoA over dense NodeIds (docs/routing-state.md): per-neighbor
-/// advertised-metric rows indexed by neighbor slot, flat uint16 best
-/// metrics, and a known-destination bitset. The best next hop is not stored
-/// separately — after every recompute it equals the FIB's primary entry,
-/// which recompute reads back as the tie-break incumbent.
+/// State is one dense, destination-major byte table (docs/routing-state.md):
+/// the record of destination d holds every neighbor slot's advertised metric
+/// followed by the best metric, so merging an entry touches one small
+/// contiguous record. An unheard or dead neighbor's column holds infinity.
+/// The best next hop is not stored — after every recompute it equals the
+/// FIB's primary entry, which recompute reads back as the tie-break
+/// incumbent. Metrics are bytes, so the infinity may not exceed 255 (the
+/// constructor throws std::invalid_argument naming dv.infinity otherwise).
 class Dbf final : public DvProtocolBase {
  public:
   Dbf(Node& node, DvConfig cfg);
@@ -42,14 +46,19 @@ class Dbf final : public DvProtocolBase {
   void start() override;
 
  private:
-  /// Recompute the best route for dst from the per-neighbor cache.
+  /// Recompute the best route for dst from its record.
   void recompute(NodeId dst);
 
-  /// Advertised metric per dst, indexed by neighbor slot. A row is empty
-  /// until the first update arrives from that neighbor and is released when
-  /// the neighbor goes down (only history while alive matters).
-  std::vector<std::vector<std::uint8_t>> cacheBySlot_;
-  std::vector<std::uint16_t> bestMetric_;
+  /// dst's record: `stride_ - 1` neighbor-slot metrics, then the best metric.
+  [[nodiscard]] std::uint8_t* record(NodeId dst) {
+    return table_.data() + static_cast<std::size_t>(dst) * stride_;
+  }
+  [[nodiscard]] const std::uint8_t* record(NodeId dst) const {
+    return table_.data() + static_cast<std::size_t>(dst) * stride_;
+  }
+
+  std::vector<std::uint8_t> table_;  ///< nodeCount records of stride_ bytes
+  std::size_t stride_ = 1;           ///< degree + 1
   NodeBitset known_;
 };
 

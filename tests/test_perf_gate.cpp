@@ -175,7 +175,7 @@ TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
 // must reproduce this digest bit for bit. It was recorded when the CSR
 // topology index and the density-aware generator landed; any divergence
 // means a topology- or scale-path change altered simulation behavior.
-// This is by far the heaviest test in the suite (~2.5 min) — everything it
+// This is by far the heaviest test in the suite (~40 s) — everything it
 // runs is real convergence work, not slack timeout.
 TEST(PerfGate, LargeMeshScenarioConvergesToPinnedDigest) {
   // The anatomy profiler is on by default here; the digest was recorded
