@@ -18,6 +18,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -100,38 +102,46 @@ double benchScenarioMs(ProtocolKind kind, int reps) {
   return best;
 }
 
-/// The online convergence-anatomy profiler must be cheap enough to stay on
-/// by default: its events/sec cost on a full scenario is gated absolutely
-/// at this bound, independent of the baseline file.
+/// The observers are gated absolutely on their events/sec cost over a full
+/// scenario, independent of the baseline file. The online convergence-
+/// anatomy profiler must be cheap enough to stay on by default; the
+/// invariant checker runs on every fuzzer execution and under
+/// --check-invariants.
 constexpr double kMaxAnatomyOverheadPct = 3.0;
+constexpr double kMaxInvariantsOverheadPct = 10.0;
 
-/// Best observed events/sec of the full DBF scenario with the anatomy
-/// profiler on or off. The two variants execute the identical event
+/// Best observed events/sec of the full DBF scenario with one observer
+/// switched on or off. The two variants execute the identical event
 /// sequence (the golden digests pin that), so the rate ratio isolates the
-/// analyzer's per-event cost.
-struct AnatomyBench {
+/// observer's per-event cost.
+struct OverheadBench {
   double onEventsPerSec = 0.0;
   double offEventsPerSec = 0.0;
+
+  [[nodiscard]] double pct() const {
+    if (offEventsPerSec <= 0.0 || onEventsPerSec <= 0.0) return 0.0;
+    return (1.0 - onEventsPerSec / offEventsPerSec) * 100.0;
+  }
 };
 
 // The on/off reps are interleaved pairwise so machine drift (thermal,
 // load, allocator state — this runs right after the 100x100 converge) hits
 // both sides equally; like pooled_speedup_vs_seed, the *ratio* is the
 // load-immune number the gate holds to its absolute budget.
-AnatomyBench benchAnatomy(int reps) {
-  AnatomyBench b;
+OverheadBench benchOverhead(bool ScenarioConfig::*observer, int reps) {
+  OverheadBench b;
   for (int r = 0; r < reps; ++r) {
-    for (const bool anatomy : {true, false}) {
+    for (const bool on : {true, false}) {
       ScenarioConfig cfg;
       cfg.protocol = ProtocolKind::Dbf;
       cfg.mesh.degree = 4;
       cfg.seed = 11;
-      cfg.anatomy = anatomy;
+      cfg.*observer = on;
       const double start = nowSec();
       const RunResult result = runScenario(cfg);
       const double sec = nowSec() - start;
       if (sec <= 0.0) continue;
-      double& best = anatomy ? b.onEventsPerSec : b.offEventsPerSec;
+      double& best = on ? b.onEventsPerSec : b.offEventsPerSec;
       best = std::max(best, static_cast<double>(result.eventsExecuted) / sec);
     }
   }
@@ -172,14 +182,9 @@ struct Metrics {
   double selfReschedEventsPerSec = 0.0;
   std::vector<std::pair<std::string, double>> scenarioMs;  // stable order
   std::vector<std::pair<std::string, double>> topologyMs;  // stable order
-  double anatomyOnEventsPerSec = 0.0;
-  double anatomyOffEventsPerSec = 0.0;
+  OverheadBench anatomy;
+  OverheadBench invariants;
   double rssMb = 0.0;
-
-  [[nodiscard]] double anatomyOverheadPct() const {
-    if (anatomyOffEventsPerSec <= 0.0 || anatomyOnEventsPerSec <= 0.0) return 0.0;
-    return (1.0 - anatomyOnEventsPerSec / anatomyOffEventsPerSec) * 100.0;
-  }
 };
 
 /// The Internet-scale topology rows (docs/topologies.md). The converge row
@@ -247,9 +252,8 @@ Metrics collect(double minTimeSec, int reps, bool includeConverge) {
   // Interleave-free back-to-back measurement under the same load, like the
   // pooled-vs-seed scheduler pair above; extra reps because a 3% bound
   // needs less noise than a 15% one.
-  const AnatomyBench anat = benchAnatomy(reps * 2);
-  m.anatomyOnEventsPerSec = anat.onEventsPerSec;
-  m.anatomyOffEventsPerSec = anat.offEventsPerSec;
+  m.anatomy = benchOverhead(&ScenarioConfig::anatomy, reps * 2);
+  m.invariants = benchOverhead(&ScenarioConfig::checkInvariants, reps * 2);
   m.rssMb = peakRssMb();
   return m;
 }
@@ -286,11 +290,14 @@ std::string toJson(const Metrics& m) {
        << (i + 1 < m.topologyMs.size() ? "," : "") << "\n";
   }
   os << "  },\n";
-  os << "  \"anatomy_overhead\": {\n";
-  os << "    \"events_per_sec_on\": " << num(m.anatomyOnEventsPerSec) << ",\n";
-  os << "    \"events_per_sec_off\": " << num(m.anatomyOffEventsPerSec) << ",\n";
-  os << "    \"overhead_pct\": " << num(m.anatomyOverheadPct()) << "\n";
-  os << "  },\n";
+  for (const auto& [name, b] : {std::pair{"anatomy_overhead", &m.anatomy},
+                                std::pair{"invariants_overhead", &m.invariants}}) {
+    os << "  \"" << name << "\": {\n";
+    os << "    \"events_per_sec_on\": " << num(b->onEventsPerSec) << ",\n";
+    os << "    \"events_per_sec_off\": " << num(b->offEventsPerSec) << ",\n";
+    os << "    \"overhead_pct\": " << num(b->pct()) << "\n";
+    os << "  },\n";
+  }
   os << "  \"rss_mb\": " << num(m.rssMb) << "\n";
   os << "}\n";
   return os.str();
@@ -355,14 +362,17 @@ int compareAgainstBaseline(const Metrics& m, const std::string& path, double tol
                   /*higherIsBetter=*/false, failures);
     }
   }
-  if (m.anatomyOffEventsPerSec > 0.0 && m.anatomyOnEventsPerSec > 0.0) {
-    // The profiler's cost gates against an absolute budget, not the
-    // baseline: it must never eat more than kMaxAnatomyOverheadPct of the
-    // event rate, or on-by-default anatomy stops being free.
-    const double pct = m.anatomyOverheadPct();
-    const bool over = pct > kMaxAnatomyOverheadPct;
-    std::printf("  %-34s budget   %9.2f%%  current   %+9.2f%%%s\n", "anatomy_overhead_pct",
-                kMaxAnatomyOverheadPct, pct, over ? "  << REGRESSION" : "");
+  // Observer costs gate against absolute budgets, not the baseline: on-by-
+  // default anatomy must stay nearly free, and the invariant checker cheap
+  // enough for every fuzzer execution.
+  for (const auto& [name, b, budget] :
+       {std::tuple{"anatomy_overhead_pct", &m.anatomy, kMaxAnatomyOverheadPct},
+        std::tuple{"invariants_overhead_pct", &m.invariants, kMaxInvariantsOverheadPct}}) {
+    if (b->offEventsPerSec <= 0.0 || b->onEventsPerSec <= 0.0) continue;
+    const double pct = b->pct();
+    const bool over = pct > budget;
+    std::printf("  %-34s budget   %9.2f%%  current   %+9.2f%%%s\n", name, budget, pct,
+                over ? "  << REGRESSION" : "");
     if (over) ++failures;
   }
   if (base.has("rss_mb") && m.rssMb > 0.0) {

@@ -106,16 +106,25 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
     net_->setDetector(detector_.get());
   }
 
-  // Instrumentation watches flow 0 (the paper's single pair).
+  // Instrumentation watches flow 0 (the paper's single pair). Every
+  // observer is a sink on the network's tracer, attached in a fixed order:
+  // stats first, because it feeds the run's one live PathWalker, which the
+  // anatomy analyzer reads; then the analyzer; then the invariant checker
+  // (opt-in: config flag or env var); external sinks come last.
   stats_ = std::make_unique<StatsCollector>(
       *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver});
-  stats_->install();
   stats_->setFailureWatermark(cfg_.failureWatermark());
-
-  // Runtime invariant checking (opt-in: config flag or env var). Attached
-  // as the network's secondary observer, so the stats hooks stay untouched.
+  net_->trace().addSink(stats_.get());
+  // Streaming convergence anatomy: observe-only, so every digest is the
+  // same with it on or off.
+  if (cfg_.anatomy) {
+    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(net_->nodeCount(),
+                                                          stats_->pathWalker());
+    net_->trace().addSink(anatomy_.get());
+  }
   if (cfg_.checkInvariants || envInvariantsEnabled()) {
     checker_ = std::make_unique<fault::InvariantChecker>(*net_);
+    net_->trace().addSink(checker_.get());
   }
 
   // Declarative fault schedule. The factory lets the injector rebuild a
@@ -161,20 +170,6 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
       flow.tcp = std::make_unique<TcpFlow>(*net_, src);
     }
     ++flowId;
-  }
-
-  // Streaming convergence anatomy: installed as the Tracer's sink so it sees
-  // the live event stream zero-copy. External sinks chain behind it through
-  // attachTraceSink(), keeping recorded traces bit-identical.
-  if (cfg_.anatomy) {
-    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(
-        obs::ReplayOptions{flows_[0].sender, flows_[0].receiver, net_->nodeCount()});
-    net_->trace().setSink(anatomy_.get());
-    // Until something records downstream, only emit the kinds the analyzer
-    // consumes: the per-hop forward/originate flood (~70% of a trace by
-    // volume) never leaves the emitters, which is what keeps the
-    // on-by-default profiler inside the perf gate's 3% overhead budget.
-    net_->trace().setKindMask(obs::ConvergenceAnalyzer::kConsumedKinds);
   }
 }
 

@@ -169,21 +169,15 @@ class Scenario {
     return anatomy_.get();
   }
 
-  /// Install an external trace sink without disturbing the anatomy profiler:
-  /// when the analyzer is active it stays first in line and forwards every
-  /// event verbatim to `sink`, so recorded traces (and their digests) are
-  /// byte-identical to a direct Tracer::setSink. With anatomy off this *is*
-  /// a direct setSink. Pass nullptr to detach.
+  /// Attach an external trace sink (a recorder, a printer) behind the
+  /// scenario's own sinks, replacing any earlier one; nullptr detaches it.
+  /// A sink asking for every kind (the default) widens the emitted stream
+  /// to all of it, for the analyzer as well, so a recorded trace and the
+  /// analyzer's kindCounts agree with an offline replay.
   void attachTraceSink(obs::TraceSink* sink) {
-    if (anatomy_) {
-      anatomy_->setDownstream(sink);
-      // A recorder needs the full stream; analyzer-only runs keep the
-      // narrowed mask set at construction (see scenario.cpp).
-      net_->trace().setKindMask(sink != nullptr ? obs::Tracer::kAllKinds
-                                                : obs::ConvergenceAnalyzer::kConsumedKinds);
-    } else {
-      net_->trace().setSink(sink);
-    }
+    if (externalSink_ != nullptr) net_->trace().removeSink(externalSink_);
+    externalSink_ = sink;
+    if (sink != nullptr) net_->trace().addSink(sink);
   }
 
   /// Per-node route-table digests around the first fault (docs/
@@ -237,6 +231,7 @@ class Scenario {
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<HelloDetector> detector_;
   std::unique_ptr<obs::ConvergenceAnalyzer> anatomy_;
+  obs::TraceSink* externalSink_ = nullptr;
   std::vector<Flow> flows_;
   std::vector<Link*> failedLinks_;
   bool preFailShortest_ = false;

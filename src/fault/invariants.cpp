@@ -1,18 +1,39 @@
 #include "fault/invariants.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "net/fib.hpp"
-#include "net/packet.hpp"
 
 namespace rcsim::fault {
 namespace {
 
-std::string describePacket(const Packet& p) {
-  std::ostringstream os;
-  os << (p.kind == PacketKind::Data ? "data" : "ctrl") << "#" << p.id << " " << p.src << "->"
-     << p.dst << " ttl=" << static_cast<int>(p.ttl);
-  return os.str();
+void describe(std::ostream& os, const obs::TraceEvent& ev) {
+  using obs::TraceKind;
+  os << "t=" << ev.t.toSeconds() << "s ";
+  switch (ev.kind) {
+    case TraceKind::Originate:
+      os << "originate data#" << ev.x << " at " << ev.a << " dst=" << ev.b;
+      break;
+    case TraceKind::Forward:
+      os << "forward data#" << ev.x << " at " << ev.a << " -> " << ev.b << " dst=" << ev.z
+         << " ttl=" << ev.y;
+      break;
+    case TraceKind::Drop:
+      os << "drop[" << toString(static_cast<DropReason>(ev.y)) << "] at " << ev.a << " "
+         << (ev.z == 1 ? "data" : "ctrl") << "#" << ev.x;
+      break;
+    case TraceKind::Deliver: os << "deliver data#" << ev.x << " at " << ev.a; break;
+    case TraceKind::RouteChange:
+      os << "route at " << ev.a << " dst=" << ev.x << " " << ev.y << "->" << ev.z;
+      break;
+    case TraceKind::LinkDown: os << "link " << ev.a << "-" << ev.b << " down"; break;
+    case TraceKind::LinkUp: os << "link " << ev.a << "-" << ev.b << " up"; break;
+    default:
+      os << toString(ev.kind) << " a=" << ev.a << " b=" << ev.b << " x=" << ev.x << " y=" << ev.y
+         << " z=" << ev.z;
+      break;
+  }
 }
 
 }  // namespace
@@ -23,22 +44,18 @@ std::string Violation::format() const {
      << ": " << detail;
   if (!trail.empty()) {
     os << "\n  event trail (oldest first):";
-    for (const auto& line : trail) os << "\n    " << line;
+    for (const auto& ev : trail) {
+      os << "\n    ";
+      describe(os, ev);
+    }
   }
   return os.str();
 }
 
-InvariantChecker::InvariantChecker(Network& net) : net_{net} { net_.setObserver(this); }
-
-InvariantChecker::~InvariantChecker() {
-  if (net_.observer() == this) net_.setObserver(nullptr);
-}
-
-void InvariantChecker::note(Time t, std::string what) {
-  if (trail_.size() >= kTrailLength) trail_.pop_front();
-  std::ostringstream os;
-  os << "t=" << t.toSeconds() << "s " << what;
-  trail_.push_back(os.str());
+void InvariantChecker::onTraceEvent(const obs::TraceEvent& ev) {
+  if ((kKinds & obs::kindBit(ev.kind)) == 0) return;
+  check(ev);  // a violation's trail ends with this event's predecessor
+  trail_[trailPushed_++ % kTrailLength] = ev;
 }
 
 void InvariantChecker::record(Time at, NodeId node, const char* invariant, std::string detail) {
@@ -48,7 +65,10 @@ void InvariantChecker::record(Time at, NodeId node, const char* invariant, std::
   v.node = node;
   v.invariant = invariant;
   v.detail = std::move(detail);
-  v.trail.assign(trail_.begin(), trail_.end());
+  const auto kept = static_cast<std::size_t>(std::min<std::uint64_t>(trailPushed_, kTrailLength));
+  for (std::uint64_t i = trailPushed_ - kept; i < trailPushed_; ++i) {
+    v.trail.push_back(trail_[i % kTrailLength]);
+  }
   violations_.push_back(std::move(v));
 }
 
@@ -60,45 +80,42 @@ void InvariantChecker::checkConservation(Time at) {
   record(at, kInvalidNode, "packet-conservation", os.str());
 }
 
-void InvariantChecker::onDrop(Time t, NodeId where, const Packet& p, DropReason r) {
-  note(t, "drop[" + std::string{toString(r)} + "] at " + std::to_string(where) + " " +
-              describePacket(p));
-  if (p.kind != PacketKind::Data) return;
-  ++dropped_;
-  checkConservation(t);
-  if (r == DropReason::TtlExpired) {
-    const auto* proto = net_.node(where).protocol();
-    ++loopsByProtocol_[proto != nullptr ? proto->name() : "(no protocol)"];
+void InvariantChecker::check(const obs::TraceEvent& ev) {
+  using obs::TraceKind;
+  switch (ev.kind) {
+    case TraceKind::Originate: ++originated_; break;  // data packets only
+    case TraceKind::Deliver:
+      ++delivered_;
+      checkConservation(ev.t);
+      break;
+    case TraceKind::Drop:
+      if (ev.z != 1) break;  // z flags the data plane
+      ++dropped_;
+      checkConservation(ev.t);
+      if (static_cast<DropReason>(ev.y) == DropReason::TtlExpired) {
+        const auto* proto = net_.node(ev.a).protocol();
+        ++loopsByProtocol_[proto != nullptr ? proto->name() : "(no protocol)"];
+      }
+      break;
+    case TraceKind::Forward:
+      if (ev.y <= 0) {
+        record(ev.t, ev.a, "ttl-exhausted-forward",
+               "data#" + std::to_string(ev.x) + " forwarded toward " + std::to_string(ev.b) +
+                   " with ttl " + std::to_string(ev.y));
+      }
+      break;
+    case TraceKind::RouteChange:
+      if (static_cast<NodeId>(ev.z) != kInvalidNode) {
+        checkFibEntry(ev.t, ev.a, static_cast<NodeId>(ev.x), static_cast<NodeId>(ev.z));
+      }
+      break;
+    case TraceKind::DownLinkTransmit:
+      record(ev.t, ev.a, "transmit-on-down-link",
+             "link " + std::to_string(ev.a) + "-" + std::to_string(ev.b) +
+                 " started a transmission while down");
+      break;
+    default: break;
   }
-}
-
-void InvariantChecker::onDeliver(Time t, NodeId node, const Packet& p) {
-  if (p.kind != PacketKind::Data) return;
-  note(t, "deliver at " + std::to_string(node) + " " + describePacket(p));
-  ++delivered_;
-  checkConservation(t);
-}
-
-void InvariantChecker::onForward(Time t, NodeId node, const Packet& p, NodeId nextHop) {
-  if (p.ttl <= 0) {
-    record(t, node,
-           "ttl-exhausted-forward", describePacket(p) + " forwarded toward " +
-               std::to_string(nextHop) + " with ttl <= 0");
-  }
-}
-
-void InvariantChecker::onOriginate(Time t, NodeId node, const Packet& p) {
-  if (p.kind != PacketKind::Data) return;
-  note(t, "originate at " + std::to_string(node) + " " + describePacket(p));
-  ++originated_;
-}
-
-void InvariantChecker::onRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh,
-                                     NodeId newNh) {
-  note(t, "route at " + std::to_string(node) + " dst=" + std::to_string(dst) + " " +
-              std::to_string(oldNh) + "->" + std::to_string(newNh));
-  if (newNh == kInvalidNode) return;
-  checkFibEntry(t, node, dst, newNh);
 }
 
 void InvariantChecker::checkFibEntry(Time at, NodeId node, NodeId dst, NodeId nh) {
@@ -112,18 +129,6 @@ void InvariantChecker::checkFibEntry(Time at, NodeId node, NodeId dst, NodeId nh
            "route for dst " + std::to_string(dst) + " points at " + std::to_string(nh) +
                ", which is not an attached neighbor");
   }
-}
-
-void InvariantChecker::onLinkTransmit(Time t, NodeId from, NodeId to, bool linkUp) {
-  if (!linkUp) {
-    record(t, from, "transmit-on-down-link",
-           "link " + std::to_string(from) + "-" + std::to_string(to) +
-               " accepted a packet while down");
-  }
-}
-
-void InvariantChecker::onLinkStateChange(Time t, NodeId a, NodeId b, bool up) {
-  note(t, "link " + std::to_string(a) + "-" + std::to_string(b) + (up ? " up" : " down"));
 }
 
 void InvariantChecker::finalCheck(Time at) {

@@ -1,33 +1,36 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "net/network.hpp"
+#include "obs/trace.hpp"
 
 namespace rcsim::fault {
 
 /// One invariant violation, with enough context to debug it: simulation
-/// time, the node involved, and the tail of the event trail leading up.
+/// time, the node involved, and the events that led up to it.
 struct Violation {
   Time at = Time::zero();
   NodeId node = kInvalidNode;
   std::string invariant;  ///< Stable machine-readable name.
   std::string detail;     ///< Human-readable specifics.
-  std::vector<std::string> trail;  ///< Last few network events before it.
+  /// The checker's last events before the triggering one (at most
+  /// InvariantChecker::kTrailLength), oldest first.
+  std::vector<obs::TraceEvent> trail;
 
   [[nodiscard]] std::string format() const;
 };
 
-/// Runtime invariant checker, attached as the Network's secondary observer.
+/// Runtime invariant checker: a TraceSink on the network's tracer.
 ///
 /// Checked continuously:
 ///   packet-conservation   delivered + dropped never exceeds originated
 ///                         (data plane; in-flight is the difference)
-///   transmit-on-down-link a link accepted a packet while down
+///   transmit-on-down-link a link started a transmission while down
 ///   ttl-exhausted-forward a node forwarded a packet with TTL <= 0
 ///   fib-invalid-nexthop   a route points at self or a non-attached node
 ///
@@ -38,22 +41,26 @@ struct Violation {
 /// TTL-expiry drops are additionally attributed to the protocol running at
 /// the dropping node (loopsByProtocol) — loops are legal transients, so
 /// they are diagnostics, not violations.
-class InvariantChecker final : public NetworkObserver {
+///
+/// The trail behind each violation is a fixed ring of the last
+/// kTrailLength events the checker consumed; nothing is formatted until a
+/// violation is printed.
+class InvariantChecker final : public obs::TraceSink {
  public:
-  /// Attaches itself via Network::setObserver.
-  explicit InvariantChecker(Network& net);
-  ~InvariantChecker() override;
+  static constexpr std::size_t kTrailLength = 16;
+
+  explicit InvariantChecker(Network& net) : net_{net} {}
 
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
 
-  void onDrop(Time t, NodeId where, const Packet& p, DropReason r) override;
-  void onDeliver(Time t, NodeId node, const Packet& p) override;
-  void onForward(Time t, NodeId node, const Packet& p, NodeId nextHop) override;
-  void onOriginate(Time t, NodeId node, const Packet& p) override;
-  void onRouteChange(Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) override;
-  void onLinkTransmit(Time t, NodeId from, NodeId to, bool linkUp) override;
-  void onLinkStateChange(Time t, NodeId a, NodeId b, bool up) override;
+  static constexpr std::uint32_t kKinds =
+      obs::kindBit(obs::TraceKind::Originate) | obs::kindBit(obs::TraceKind::Forward) |
+      obs::kindBit(obs::TraceKind::Drop) | obs::kindBit(obs::TraceKind::Deliver) |
+      obs::kindBit(obs::TraceKind::RouteChange) | obs::kindBit(obs::TraceKind::LinkDown) |
+      obs::kindBit(obs::TraceKind::LinkUp) | obs::kindBit(obs::TraceKind::DownLinkTransmit);
+  [[nodiscard]] std::uint32_t kinds() const override { return kKinds; }
+  void onTraceEvent(const obs::TraceEvent& ev) override;
 
   /// Full end-of-run sweep: every FIB entry plus conservation.
   void finalCheck(Time at);
@@ -72,16 +79,16 @@ class InvariantChecker final : public NetworkObserver {
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
  private:
-  static constexpr std::size_t kTrailLength = 16;
   static constexpr std::size_t kMaxViolations = 64;  ///< One bug floods fast.
 
-  void note(Time t, std::string what);
+  void check(const obs::TraceEvent& ev);
   void record(Time at, NodeId node, const char* invariant, std::string detail);
   void checkConservation(Time at);
   void checkFibEntry(Time at, NodeId node, NodeId dst, NodeId nh);
 
   Network& net_;
-  std::deque<std::string> trail_;
+  std::array<obs::TraceEvent, kTrailLength> trail_{};
+  std::uint64_t trailPushed_ = 0;  ///< events ever written into trail_
   std::vector<Violation> violations_;
   std::map<std::string, std::uint64_t> loopsByProtocol_;
   std::uint64_t originated_ = 0;  ///< Data packets only.

@@ -52,8 +52,8 @@ RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
   }
 
   obs::MemoryTraceSink sink;
-  // Chain behind the anatomy analyzer: it forwards every event verbatim,
-  // so the recorded trace (and its digest) is what a direct sink would see.
+  // Beside the anatomy analyzer on the same tracer: it asks for every
+  // kind, so the recorded trace is the full stream the analyzer saw.
   scenario->attachTraceSink(&sink);
 
   bool threw = false;
@@ -107,7 +107,7 @@ RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
           field = "planeCounters";
         } else if (live.episodes != obs::analyzeTrace(out.trace, opts).episodes) {
           // Same analyzer over the recorded stream: catches a live-vs-
-          // recorded event mismatch (a sink-chain bug) at episode level.
+          // recorded event mismatch (a tracer fan-out bug) at episode level.
           field = "episodes";
         }
       } catch (const std::exception&) {

@@ -43,7 +43,12 @@ void Link::startTransmission(int dir) {
   auto& sched = net_.scheduler();
   const Time txDone = transmissionTime(p);
   const std::uint64_t epoch = epoch_;
-  net_.notifyLinkTransmit(sched.now(), dir == 0 ? a_ : b_, receiverOf(dir), up_);
+  if (!up_) {
+    // Unreachable while send() and the restart below check up_; the
+    // invariant checker flags it if that ever changes.
+    net_.trace().emit(sched.now(), obs::TraceKind::DownLinkTransmit, dir == 0 ? a_ : b_,
+                      receiverOf(dir));
+  }
   // Serialization completes first; then the bits propagate. If the link
   // fails in between, the packet is lost (epoch check).
   sched.scheduleAfter(txDone, EventKind::LinkDelivery, [this, dir, epoch, p = std::move(p)]() mutable {
@@ -107,7 +112,7 @@ void Link::fail() {
   up_ = false;
   ++epoch_;
   auto& sched = net_.scheduler();
-  net_.notifyLinkStateChange(sched.now(), a_, b_, /*up=*/false);
+  net_.trace().emit(sched.now(), obs::TraceKind::LinkDown, a_, b_);
   // Everything sitting in the queues is lost.
   for (int dir = 0; dir < 2; ++dir) {
     auto& d = dirs_[dir];
@@ -135,7 +140,7 @@ void Link::recover() {
   if (up_) return;
   up_ = true;
   auto& sched = net_.scheduler();
-  net_.notifyLinkStateChange(sched.now(), a_, b_, /*up=*/true);
+  net_.trace().emit(sched.now(), obs::TraceKind::LinkUp, a_, b_);
   if (net_.detector() != nullptr) return;
   sched.scheduleAfter(cfg_.detectDelay, EventKind::Detector, [this] {
     if (!up_) return;

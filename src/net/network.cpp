@@ -31,6 +31,13 @@ Link* Network::findLink(NodeId a, NodeId b) const {
   return nullptr;
 }
 
+bool Network::visitedTwice(const Packet& p) {
+  if (p.trace == nullptr) return false;
+  std::vector<NodeId> hops = *p.trace;
+  std::sort(hops.begin(), hops.end());
+  return std::adjacent_find(hops.begin(), hops.end()) != hops.end();
+}
+
 void Network::finalize(bool ecmp) {
   for (auto& n : nodes_) n->resizeFib(nodes_.size(), ecmp);
 }

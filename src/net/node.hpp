@@ -48,17 +48,17 @@ class Node {
   [[nodiscard]] const NeighborIndex& neighborIndex() const { return nbrIndex_; }
 
   /// Install/replace the route toward `dst`; kInvalidNode removes it.
-  /// Fires the network's route-change hook when the next hop changes.
+  /// Fires a RouteChange trace event when the next hop changes.
   void setRoute(NodeId dst, NodeId nextHop);
 
   /// Install a multi-next-hop entry set toward `dst` (nextHops[0] is the
-  /// primary; count 0 removes the route). The route-change hook fires only
+  /// primary; count 0 removes the route). The RouteChange event fires only
   /// when the *primary* changes — alternates are a data-plane refinement
   /// invisible to the RouteChange event stream (docs/routing-state.md).
   void setRoutes(NodeId dst, const NodeId* nextHops, int count);
 
   /// Remove every installed route (fault injection: a crashed node loses
-  /// its FIB). Fires the route-change hook per removed entry.
+  /// its FIB). Emits one RouteChange per removed entry.
   void clearRoutes();
   [[nodiscard]] const Fib& fib() const { return fib_; }
   void resizeFib(std::size_t nodeCount, bool ecmp = false) { fib_.resize(nodeCount, ecmp); }
@@ -67,8 +67,8 @@ class Node {
   void originate(Packet&& p);
 
   /// Register an application sink: every data packet delivered to this
-  /// node is offered to each handler (after the network-wide onDeliver
-  /// hook). Used by the end-to-end transport in traffic/.
+  /// node is offered to each handler (after the Deliver trace event).
+  /// Used by the end-to-end transport in traffic/.
   void addDeliveryHandler(std::function<void(const Packet&)> handler) {
     deliveryHandlers_.push_back(std::move(handler));
   }

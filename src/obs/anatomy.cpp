@@ -14,6 +14,15 @@ bool isTrigger(TraceKind kind) {
          kind == TraceKind::LinkUp;
 }
 
+/// Per-node control accounting is sized up front; empty for walk-less
+/// traces (node count unknown).
+AnatomyReport emptyReport(std::size_t nodeCount) {
+  AnatomyReport r;
+  r.perNodeControlMessages.assign(nodeCount, 0);
+  r.perNodeControlBytes.assign(nodeCount, 0);
+  return r;
+}
+
 }  // namespace
 
 AnatomySummary& AnatomySummary::operator+=(const AnatomySummary& rhs) {
@@ -85,17 +94,16 @@ AnatomySummary AnatomyReport::summary() const {
   return s;
 }
 
-ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt, TraceSink* downstream)
-    : walker_{opt.src, opt.dst, opt.nodeCount}, downstream_{downstream} {
-  if (opt.nodeCount > 0) {
-    report_.perNodeControlMessages.assign(opt.nodeCount, 0);
-    report_.perNodeControlBytes.assign(opt.nodeCount, 0);
-  }
-}
+ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt)
+    : ownWalker_{std::make_unique<PathWalker>(opt.src, opt.dst, opt.nodeCount)},
+      walker_{ownWalker_.get()},
+      report_{emptyReport(opt.nodeCount)} {}
+
+ConvergenceAnalyzer::ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker)
+    : walker_{&walker}, report_{emptyReport(nodeCount)} {}
 
 void ConvergenceAnalyzer::onTraceEvent(const TraceEvent& ev) {
   if (!finished_) analyze(ev);
-  if (downstream_ != nullptr) downstream_->onTraceEvent(ev);
 }
 
 void ConvergenceAnalyzer::openEpisode(const TraceEvent& ev) {
@@ -158,13 +166,16 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
         ep->lastRouteChangeAt = ev.t;
         ++ep->routeChanges;
       }
-      // A dst beyond NodeId's range is as corrupt as one beyond N, which
-      // the walker rejects.
-      const NodeId dst = ev.x == static_cast<NodeId>(ev.x) ? static_cast<NodeId>(ev.x)
-                                                           : kInvalidNode;
-      if (const auto* e = walker_.onRouteChange(ev.t, ev.a, dst, static_cast<NodeId>(ev.z))) {
-        recordPath(*e);
+      if (ownWalker_) {
+        // A dst beyond NodeId's range is as corrupt as one beyond N, which
+        // the walker rejects.
+        const NodeId dst = ev.x == static_cast<NodeId>(ev.x) ? static_cast<NodeId>(ev.x)
+                                                             : kInvalidNode;
+        ownWalker_->onRouteChange(ev.t, ev.a, dst, static_cast<NodeId>(ev.z));
       }
+      // A live walker was fed this change by the sink ahead of us.
+      const auto& paths = walker_->events();
+      while (pathsSeen_ < paths.size()) recordPath(paths[pathsSeen_++]);
       break;
     }
     case TraceKind::AdjDown:

@@ -5,22 +5,24 @@
 // per-cause drops) computed *during* the run from the live TraceEvent
 // stream, instead of offline from a recorded trace file.
 //
-// The ConvergenceAnalyzer is a TraceSink that chains: install it as the
-// Tracer's sink and it forwards every event verbatim to an optional
-// downstream sink (a FileTraceSink, the fuzzer's MemoryTraceSink), so
-// recording and analyzing compose without either seeing a different
-// stream. It is an independent implementation of the reconstruction in
+// The ConvergenceAnalyzer is a TraceSink on the network's Tracer, beside
+// the stats collector, the invariant checker and any recorder (a
+// FileTraceSink, the fuzzer's MemoryTraceSink); every sink sees the same
+// emitted stream, so a recorded trace is exactly what the analyzer saw. It
+// is an independent implementation of the reconstruction in
 // obs/replay.hpp — the two cross-check each other element-wise on every
 // golden scenario and on every fuzzer execution (RunStatus::
 // AnatomyDivergence), which is what lets either be trusted.
 //
 // Where replay.cpp keeps a dense N x N shadow FIB and re-walks on every
-// RouteChange, the analyzer walks through a PathWalker (obs/path_walk.hpp),
-// which keeps only the receiver's FIB column and re-walks only when that
-// column changes — O(N) memory and far fewer walks, with identical output.
+// RouteChange, the analyzer reads a PathWalker (obs/path_walk.hpp), which
+// keeps only the receiver's FIB column and re-walks only when that column
+// changes — O(N) memory and far fewer walks, with identical output. In a
+// live run that walker is the StatsCollector's, fed once per change.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/path_walk.hpp"
@@ -167,42 +169,38 @@ struct AnatomyReport {
   [[nodiscard]] AnatomySummary summary() const;
 };
 
-/// Streaming convergence-anatomy profiler. Feed it the trace stream (as
-/// the installed Tracer sink, or via analyzeTrace below), call finish()
-/// once at end of stream, read report().
+/// Streaming convergence-anatomy profiler. Feed it the trace stream (as a
+/// Tracer sink, or via analyzeTrace below), call finish() once at end of
+/// stream, read report().
 class ConvergenceAnalyzer : public TraceSink {
  public:
   /// `opt` carries the traced flow (src, dst) and the node count — the
   /// same triple replayTrace needs, from the same place (trace meta /
   /// Scenario). With an unusable triple the path walk is disabled and
-  /// only counting/accounting runs, exactly like replayTrace.
-  explicit ConvergenceAnalyzer(const ReplayOptions& opt, TraceSink* downstream = nullptr);
+  /// only counting/accounting runs, exactly like replayTrace. This form
+  /// owns its walker and feeds it (offline analysis).
+  explicit ConvergenceAnalyzer(const ReplayOptions& opt);
 
-  /// The kinds analyze() actually consumes: episode triggers, detection
-  /// and route events, data-plane fates (deliver/drop), and control-plane
-  /// accounting. Everything outside this set — per-hop forwards above
-  /// all — only feeds report().kindCounts. With nothing recording
-  /// downstream, the Scenario narrows the Tracer's kind mask to this set
-  /// so the dominant data-plane emissions cost one masked branch; a
-  /// downstream sink restores the full stream (and full kindCounts).
-  static constexpr std::uint32_t kConsumedKinds =
-      (1u << static_cast<unsigned>(TraceKind::FaultApply)) |
-      (1u << static_cast<unsigned>(TraceKind::LinkDown)) |
-      (1u << static_cast<unsigned>(TraceKind::LinkUp)) |
-      (1u << static_cast<unsigned>(TraceKind::AdjDown)) |
-      (1u << static_cast<unsigned>(TraceKind::RouteChange)) |
-      (1u << static_cast<unsigned>(TraceKind::Deliver)) |
-      (1u << static_cast<unsigned>(TraceKind::Drop)) |
-      (1u << static_cast<unsigned>(TraceKind::ControlSend)) |
-      (1u << static_cast<unsigned>(TraceKind::HelloSend)) |
-      (1u << static_cast<unsigned>(TraceKind::DvTriggered)) |
-      (1u << static_cast<unsigned>(TraceKind::DvPeriodic)) |
-      (1u << static_cast<unsigned>(TraceKind::MraiArm)) |
-      (1u << static_cast<unsigned>(TraceKind::MraiFire));
+  /// Live form: read the path events of `walker`, which a sink ahead of
+  /// this one on the same Tracer (the StatsCollector) feeds with each
+  /// RouteChange before this analyzer sees it.
+  ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker);
 
-  /// Forward target for the verbatim event stream (borrowed; null = none).
-  void setDownstream(TraceSink* sink) { downstream_ = sink; }
-  [[nodiscard]] TraceSink* downstream() const { return downstream_; }
+  /// The kinds analyze() consumes: episode triggers, detection and route
+  /// events, data-plane fates (deliver/drop), and control-plane
+  /// accounting. Per-hop forwards and originations are left out, so a run
+  /// that records nothing never builds them for the analyzer's sake;
+  /// report().kindCounts counts whatever the Tracer emitted, which with a
+  /// recorder attached is the full stream.
+  static constexpr std::uint32_t kKinds =
+      kindBit(TraceKind::FaultApply) | kindBit(TraceKind::LinkDown) |
+      kindBit(TraceKind::LinkUp) | kindBit(TraceKind::AdjDown) |
+      kindBit(TraceKind::RouteChange) | kindBit(TraceKind::Deliver) |
+      kindBit(TraceKind::Drop) | kindBit(TraceKind::ControlSend) |
+      kindBit(TraceKind::HelloSend) | kindBit(TraceKind::DvTriggered) |
+      kindBit(TraceKind::DvPeriodic) | kindBit(TraceKind::MraiArm) |
+      kindBit(TraceKind::MraiFire);
+  [[nodiscard]] std::uint32_t kinds() const override { return kKinds; }
 
   void onTraceEvent(const TraceEvent& ev) override;
 
@@ -229,8 +227,9 @@ class ConvergenceAnalyzer : public TraceSink {
   void foldWindow(bool on, Time t, OpenWindow& state, std::vector<ReplayWindow>& windows,
                   int ConvergenceEpisode::*count, double ConvergenceEpisode::*seconds);
 
-  PathWalker walker_;
-  TraceSink* downstream_ = nullptr;
+  std::unique_ptr<PathWalker> ownWalker_;  ///< offline form only
+  const PathWalker* walker_;
+  std::size_t pathsSeen_ = 0;  ///< walker events already folded into report_
   bool finished_ = false;
 
   bool episodeOpen_ = false;

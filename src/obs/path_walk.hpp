@@ -10,9 +10,9 @@
 // exception is the very first route change, which always records a path
 // (the dedup list is still empty), so it always walks.
 //
-// Both the live StatsCollector (fed by the route-change hook) and the
-// ConvergenceAnalyzer (fed by RouteChange trace events) own one. The
-// independent oracle is obs/replay.cpp, which re-walks a full shadow FIB
+// A live run has exactly one, owned and fed by the StatsCollector; the
+// ConvergenceAnalyzer reads it, and owns its own only for offline
+// analysis (analyzeTrace). The independent oracle is obs/replay.cpp, which re-walks a full shadow FIB
 // on every change; tests pin the two element-wise equal, and pin the live
 // walker to Network::fibWalk at every route change.
 

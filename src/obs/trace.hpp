@@ -1,47 +1,27 @@
 #pragma once
 
-// Typed structured event tracing — the replacement for the old string-sink
-// TraceLog. A TraceEvent is a fixed-size record (time, kind, category, two
-// node ids, three integer payload words); call sites emit it through the
-// Tracer owned by Network, which forwards to an installed TraceSink. With
-// no sink installed the whole path is one pointer null-check — no strings,
-// no allocation, nothing formatted.
+// Typed structured event tracing: the one channel through which the
+// simulator reports what happens. A TraceEvent is a fixed-size record
+// (time, kind, two node ids, three integer payload words); call sites emit
+// it through the Tracer owned by Network, which hands it to every attached
+// TraceSink in attach order. The stats collector, the convergence analyzer,
+// the invariant checker and any recorder are all sinks. A kind no sink
+// asks for costs one mask test at the emitter: no strings, no allocation,
+// nothing formatted.
 //
-// The categories match the paper's "routing and forwarding trace files"
-// (Section 5) plus the fault-injection and simulator-summary channels that
-// grew since; the kinds enumerate every event the forensic replayer
-// (obs/replay.hpp) and the rcsim-trace CLI understand.
+// The kinds cover the paper's "routing and forwarding trace files"
+// (Section 5) plus the transport, failure-detection, fault-injection and
+// simulator-summary events that grew since; they enumerate every event
+// the forensic replayer (obs/replay.hpp) and the rcsim-trace CLI
+// understand.
 
 #include <cstdint>
+#include <vector>
 
 #include "net/types.hpp"
 #include "sim/time.hpp"
 
 namespace rcsim::obs {
-
-/// Independent trace channels. Callers can enable any subset via the
-/// Tracer's category mask; a full-fidelity trace keeps all of them.
-enum class TraceCategory : std::uint8_t {
-  Forwarding,  ///< data-plane: forward / drop / deliver / originate
-  Routing,     ///< FIB changes, protocol decisions, update & MRAI machinery
-  Transport,   ///< reliable-session RTO / reset
-  Failure,     ///< link up/down transitions
-  Fault,       ///< fault-plan events as the injector applies them
-  Sim,         ///< per-run scheduler summary
-};
-inline constexpr int kTraceCategoryCount = 6;
-
-[[nodiscard]] constexpr const char* toString(TraceCategory cat) {
-  switch (cat) {
-    case TraceCategory::Forwarding: return "fwd";
-    case TraceCategory::Routing: return "rt";
-    case TraceCategory::Transport: return "tx";
-    case TraceCategory::Failure: return "fail";
-    case TraceCategory::Fault: return "fault";
-    case TraceCategory::Sim: return "sim";
-  }
-  return "?";
-}
 
 /// Every event the simulator can emit. The numeric values are part of the
 /// rcsim-trace-v1 on-disk format: append new kinds at the end, never
@@ -52,7 +32,8 @@ enum class TraceKind : std::uint8_t {
   RouteChange = 2,   ///< a=node, x=dst, y=old next hop, z=new next hop
   Forward = 3,       ///< a=node, b=next hop, x=packet id, y=ttl, z=dst
   Drop = 4,          ///< a=where, x=packet id, y=DropReason, z=1 if data
-  Deliver = 5,       ///< a=node, x=packet id, y=send time ns, z=hops
+  Deliver = 5,       ///< a=node, b=1 if the hop record repeats a node, x=packet id,
+                     ///< y=send time ns, z=hops
   Originate = 6,     ///< a=src, b=dst, x=packet id
   ControlSend = 7,   ///< a=from, b=to, x=payload bytes
   TransportRto = 8,  ///< a=node, b=peer, x=in-flight segments, y=rto ns
@@ -69,8 +50,9 @@ enum class TraceKind : std::uint8_t {
   HelloSend = 19,    ///< a=from, b=to, x=hello bytes on the wire
   AdjDown = 20,      ///< a=node, b=neighbor, x=1 if the link is actually up (false positive)
   AdjUp = 21,        ///< a=node, b=neighbor
+  DownLinkTransmit = 22,  ///< a=from, b=to: a link started transmitting while down (a bug)
 };
-inline constexpr int kTraceKindCount = 22;
+inline constexpr int kTraceKindCount = 23;
 
 [[nodiscard]] constexpr const char* toString(TraceKind kind) {
   switch (kind) {
@@ -96,38 +78,9 @@ inline constexpr int kTraceKindCount = 22;
     case TraceKind::HelloSend: return "hello";
     case TraceKind::AdjDown: return "adj-down";
     case TraceKind::AdjUp: return "adj-up";
+    case TraceKind::DownLinkTransmit: return "down-link-transmit";
   }
   return "?";
-}
-
-/// Each kind belongs to exactly one category, fixed here so emitters and
-/// readers can never disagree about which mask bit guards an event.
-[[nodiscard]] constexpr TraceCategory categoryOf(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::LinkDown:
-    case TraceKind::LinkUp:
-    case TraceKind::AdjDown:
-    case TraceKind::AdjUp: return TraceCategory::Failure;
-    case TraceKind::RouteChange:
-    case TraceKind::ControlSend:
-    case TraceKind::HelloSend:
-    case TraceKind::BgpBest:
-    case TraceKind::BgpAdvert:
-    case TraceKind::BgpWithdraw:
-    case TraceKind::MraiArm:
-    case TraceKind::MraiFire:
-    case TraceKind::DvPeriodic:
-    case TraceKind::DvTriggered: return TraceCategory::Routing;
-    case TraceKind::Forward:
-    case TraceKind::Drop:
-    case TraceKind::Deliver:
-    case TraceKind::Originate: return TraceCategory::Forwarding;
-    case TraceKind::TransportRto:
-    case TraceKind::TransportReset: return TraceCategory::Transport;
-    case TraceKind::FaultApply: return TraceCategory::Fault;
-    case TraceKind::SimSummary: return TraceCategory::Sim;
-  }
-  return TraceCategory::Sim;
 }
 
 /// One trace record. 48 bytes, trivially copyable; the x/y/z payload words
@@ -141,63 +94,66 @@ struct TraceEvent {
   std::int64_t y = 0;
   std::int64_t z = 0;
 
-  [[nodiscard]] TraceCategory category() const { return categoryOf(kind); }
-
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
+/// One bit per kind, for TraceSink::kinds().
+[[nodiscard]] constexpr std::uint32_t kindBit(TraceKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+inline constexpr std::uint32_t kAllKinds = (1u << kTraceKindCount) - 1;
+
 /// Abstract consumer. Implementations: MemoryTraceSink and FileTraceSink
-/// in obs/trace_io.hpp, plus ad-hoc sinks in tools/tests.
+/// in obs/trace_io.hpp, StatsCollector, ConvergenceAnalyzer and
+/// fault::InvariantChecker, plus ad-hoc sinks in tools/tests.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void onTraceEvent(const TraceEvent& ev) = 0;
+  /// The kinds this sink needs emitted (kindBit mask; default: all). This
+  /// is a demand, not a filter: the Tracer emits the union over its sinks
+  /// and every sink sees every emitted event, so a sink that counts kinds
+  /// sees exactly the stream a recorder beside it writes. Read once, when
+  /// the sink is attached.
+  [[nodiscard]] virtual std::uint32_t kinds() const { return kAllKinds; }
 };
 
-/// The per-network dispatch point. Near-zero cost when disabled: wants()
-/// is a pointer null-check plus a mask test, and every emitter guards its
-/// payload construction behind it, so a run with no sink builds nothing.
+/// The per-network dispatch point: a short ordered list of borrowed sinks.
+/// wants() is one mask test, and emitters guard any costly payload
+/// construction behind it.
 class Tracer {
  public:
-  static constexpr std::uint32_t kAllCategories = (1u << kTraceCategoryCount) - 1;
-  static constexpr std::uint32_t kAllKinds = (1u << kTraceKindCount) - 1;
-
-  /// Install/remove the sink (borrowed, not owned). Null disables tracing.
-  void setSink(TraceSink* sink) { sink_ = sink; }
-  [[nodiscard]] TraceSink* sink() const { return sink_; }
-
-  /// Restrict emission to a subset of categories (default: all).
-  void setCategoryMask(std::uint32_t mask) { mask_ = mask; }
-  [[nodiscard]] std::uint32_t categoryMask() const { return mask_; }
-
-  /// Restrict emission to a subset of kinds (default: all), ANDed with the
-  /// category mask. The per-hop data-plane kinds (forward, originate)
-  /// dominate a trace by volume, so a sink that does not consume them —
-  /// the convergence analyzer with nothing recording downstream — narrows
-  /// this and the hot path pays only the masked-branch cost for them.
-  void setKindMask(std::uint32_t mask) { kindMask_ = mask; }
-  [[nodiscard]] std::uint32_t kindMask() const { return kindMask_; }
-
-  [[nodiscard]] bool enabled() const { return sink_ != nullptr; }
-  [[nodiscard]] bool wants(TraceCategory cat) const {
-    return sink_ != nullptr && ((mask_ >> static_cast<unsigned>(cat)) & 1u) != 0;
+  /// Append a sink (borrowed, not owned); sinks see events in attach order.
+  void addSink(TraceSink* sink) {
+    sinks_.push_back(sink);
+    kinds_ |= sink->kinds();
   }
-  [[nodiscard]] bool wants(TraceKind kind) const {
-    return wants(categoryOf(kind)) && ((kindMask_ >> static_cast<unsigned>(kind)) & 1u) != 0;
+  /// Detach a sink; a no-op when it is not attached.
+  void removeSink(TraceSink* sink) {
+    std::erase(sinks_, sink);
+    kinds_ = 0;
+    for (const TraceSink* s : sinks_) kinds_ |= s->kinds();
   }
+
+  /// The union of the attached sinks' kinds(): what emit() lets through.
+  [[nodiscard]] std::uint32_t kinds() const { return kinds_; }
+  [[nodiscard]] bool wants(TraceKind kind) const { return (kinds_ & kindBit(kind)) != 0; }
 
   void emit(const TraceEvent& ev) const {
-    if (wants(ev.kind)) sink_->onTraceEvent(ev);
+    if (wants(ev.kind)) dispatch(ev);
   }
   void emit(Time t, TraceKind kind, NodeId a, NodeId b, std::int64_t x = 0, std::int64_t y = 0,
             std::int64_t z = 0) const {
-    if (wants(kind)) sink_->onTraceEvent(TraceEvent{t, kind, a, b, x, y, z});
+    if (wants(kind)) dispatch(TraceEvent{t, kind, a, b, x, y, z});
   }
 
  private:
-  TraceSink* sink_ = nullptr;
-  std::uint32_t mask_ = kAllCategories;
-  std::uint32_t kindMask_ = kAllKinds;
+  void dispatch(const TraceEvent& ev) const {
+    for (TraceSink* s : sinks_) s->onTraceEvent(ev);
+  }
+
+  std::vector<TraceSink*> sinks_;
+  std::uint32_t kinds_ = 0;
 };
 
 }  // namespace rcsim::obs

@@ -1,20 +1,9 @@
 #include "stats/collector.hpp"
 
-#include <unordered_set>
-
 #include "net/network.hpp"
-#include "net/packet.hpp"
 
 namespace rcsim {
 namespace {
-
-bool hasRepeatedNode(const std::vector<NodeId>& trace) {
-  std::unordered_set<NodeId> seen;
-  for (const NodeId n : trace) {
-    if (!seen.insert(n).second) return true;
-  }
-  return false;
-}
 
 void bump(PacketCounters& c, DropReason reason) {
   switch (reason) {
@@ -30,8 +19,8 @@ void bump(PacketCounters& c, DropReason reason) {
 
 }  // namespace
 
-StatsCollector::StatsCollector(Network& net, Config cfg)
-    : net_{net}, walker_{cfg.sender, cfg.receiver, net.nodeCount()} {
+StatsCollector::StatsCollector(const Network& net, Config cfg)
+    : walker_{cfg.sender, cfg.receiver, net.nodeCount()} {
   routeLog_.resize(net.nodeCount());
 }
 
@@ -40,43 +29,45 @@ void StatsCollector::setFailureWatermark(Time t) {
   routeLog_.setWatermark(t);
 }
 
-void StatsCollector::install() {
-  auto& hooks = net_.hooks();
-  hooks.onDrop = [this](Time t, NodeId where, const Packet& p, DropReason r) {
-    onDrop(t, where, p, r);
-  };
-  hooks.onDeliver = [this](Time t, NodeId node, const Packet& p) { onDeliver(t, node, p); };
-  hooks.onForward = [this](Time, NodeId, const Packet& p, NodeId) {
-    if (p.kind == PacketKind::Data) ++data_.forwarded;
-  };
-  hooks.onRouteChange = [this](Time t, NodeId node, NodeId dst, NodeId oldNh, NodeId newNh) {
-    routeLog_.record(t, node, dst, oldNh, newNh);
-    walker_.onRouteChange(t, node, dst, newNh);
-  };
-  hooks.onControlSend = [this](Time t, NodeId, NodeId, const ControlPayload& payload) {
-    ++controlMessages_;
-    controlBytes_ += payload.sizeBytes();
-    if (t >= watermark_) ++controlMessagesAfter_;
-  };
+void StatsCollector::onTraceEvent(const obs::TraceEvent& ev) {
+  switch (ev.kind) {
+    case obs::TraceKind::Drop: onDrop(ev); break;
+    case obs::TraceKind::Deliver: onDeliver(ev); break;
+    case obs::TraceKind::Forward: ++data_.forwarded; break;  // data packets only
+    case obs::TraceKind::RouteChange: {
+      const auto dst = static_cast<NodeId>(ev.x);
+      const auto newNh = static_cast<NodeId>(ev.z);
+      routeLog_.record(ev.t, ev.a, dst, static_cast<NodeId>(ev.y), newNh);
+      walker_.onRouteChange(ev.t, ev.a, dst, newNh);
+      break;
+    }
+    case obs::TraceKind::ControlSend:
+      ++controlMessages_;
+      controlBytes_ += static_cast<std::uint64_t>(ev.x);
+      if (ev.t >= watermark_) ++controlMessagesAfter_;
+      break;
+    default: break;
+  }
 }
 
-void StatsCollector::onDrop(Time t, NodeId where, const Packet& p, DropReason reason) {
-  if (p.kind != PacketKind::Data) {
+void StatsCollector::onDrop(const obs::TraceEvent& ev) {
+  const auto reason = static_cast<DropReason>(ev.y);
+  if (ev.z != 1) {  // z flags the data plane
     bump(control_, reason);
     return;
   }
-  (void)where;
   bump(data_, reason);
-  if (t >= watermark_) bump(dataAfter_, reason);
+  if (ev.t >= watermark_) bump(dataAfter_, reason);
 }
 
-void StatsCollector::onDeliver(Time t, NodeId /*node*/, const Packet& p) {
-  if (p.kind != PacketKind::Data) return;
+void StatsCollector::onDeliver(const obs::TraceEvent& ev) {
+  // Deliver is data-only; b flags a hop record that visited a node twice,
+  // z is the hop record's length (0 without one).
   ++data_.delivered;
-  const double delay = (t - p.sendTime).toSeconds();
-  const bool looped = p.trace != nullptr && hasRepeatedNode(*p.trace);
+  const double delay = (ev.t - Time::nanoseconds(ev.y)).toSeconds();
+  const bool looped = ev.b != 0;
   if (looped) ++loopEscaped_;
-  series_.recordDelivery(t, delay, looped, p.trace ? p.trace->size() - 1 : 0);
+  series_.recordDelivery(ev.t, delay, looped, ev.z > 0 ? static_cast<std::size_t>(ev.z - 1) : 0);
 }
 
 }  // namespace rcsim

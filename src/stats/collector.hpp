@@ -6,13 +6,13 @@
 
 #include "net/types.hpp"
 #include "obs/path_walk.hpp"
+#include "obs/trace.hpp"
 #include "stats/route_log.hpp"
 #include "stats/timeseries.hpp"
 
 namespace rcsim {
 
 class Network;
-struct Packet;
 
 /// Packet-event tallies, split by cause. Data and control planes are
 /// counted separately so routing messages don't pollute Figure 3/4 numbers.
@@ -33,20 +33,24 @@ struct PacketCounters {
   }
 };
 
-/// One-stop instrumentation: installs itself into the network's hooks and
-/// feeds the counters, time series, route-change log and the sender→receiver
-/// path walk.
-class StatsCollector {
+/// One-stop instrumentation: a TraceSink that feeds the counters, time
+/// series, route-change log and the sender→receiver path walk. Attach it to
+/// the network's tracer ahead of any sink that reads pathWalker() live.
+class StatsCollector final : public obs::TraceSink {
  public:
   struct Config {
     NodeId sender = kInvalidNode;    ///< Data source (start of the walked path).
     NodeId receiver = kInvalidNode;  ///< Data sink.
   };
 
-  StatsCollector(Network& net, Config cfg);
+  StatsCollector(const Network& net, Config cfg);
 
-  /// Install network hooks. Must be the only hooks user for this network.
-  void install();
+  static constexpr std::uint32_t kKinds =
+      obs::kindBit(obs::TraceKind::Drop) | obs::kindBit(obs::TraceKind::Forward) |
+      obs::kindBit(obs::TraceKind::Deliver) | obs::kindBit(obs::TraceKind::RouteChange) |
+      obs::kindBit(obs::TraceKind::ControlSend);
+  [[nodiscard]] std::uint32_t kinds() const override { return kKinds; }
+  void onTraceEvent(const obs::TraceEvent& ev) override;
 
   /// Set the failure watermark on all sub-collectors.
   void setFailureWatermark(Time t);
@@ -57,7 +61,8 @@ class StatsCollector {
   [[nodiscard]] const RouteChangeLog& routeLog() const { return routeLog_; }
   [[nodiscard]] RouteChangeLog& routeLog() { return routeLog_; }
   /// The sender→receiver forwarding path across route changes (Figure 6a,
-  /// transient paths, loops). Records nothing without both endpoints.
+  /// transient paths, loops). Records nothing without both endpoints. The
+  /// run's one live walker: the convergence analyzer reads it too.
   [[nodiscard]] const obs::PathWalker& pathWalker() const { return walker_; }
 
   /// Data packets dropped at/after the watermark, by reason (the paper's
@@ -75,10 +80,9 @@ class StatsCollector {
   }
 
  private:
-  void onDrop(Time t, NodeId where, const Packet& p, DropReason reason);
-  void onDeliver(Time t, NodeId node, const Packet& p);
+  void onDrop(const obs::TraceEvent& ev);
+  void onDeliver(const obs::TraceEvent& ev);
 
-  Network& net_;
   PacketCounters data_;
   PacketCounters dataAfter_;
   PacketCounters control_;

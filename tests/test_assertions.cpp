@@ -69,9 +69,9 @@ TEST(Assertions, SpeedsUpDestinationWithdrawal) {
     tn.net().findLink(1, 4)->fail();
     tn.net().findLink(3, 4)->fail();
     Time last = Time::zero();
-    tn.net().hooks().onRouteChange = [&last, &tn](Time t, NodeId, NodeId, NodeId, NodeId) {
-      last = t;
-    };
+    testutil::CallbackSink routes{obs::kindBit(obs::TraceKind::RouteChange),
+                                  [&last](const obs::TraceEvent& ev) { last = ev.t; }};
+    tn.net().trace().addSink(&routes);
     tn.runUntil(400_sec);
     for (NodeId n = 0; n <= 3; ++n) EXPECT_EQ(tn.nextHop(n, 4), kInvalidNode) << n;
     return (last - 60_sec).toSeconds();

@@ -127,14 +127,14 @@ TEST(Bgp, MraiPacesConsecutiveUpdates) {
   cfg.bgp.mraiMaxSec = 5.0;  // deterministic spacing
   TestNet tn{testutil::ringTopology(6), ProtocolKind::Bgp, cfg};
   std::vector<Time> updateTimes;
-  tn.net().hooks().onControlSend = [&](Time t, NodeId from, NodeId to,
-                                       const ControlPayload& payload) {
+  tn.net().setControlPayloadTap([&](Time t, NodeId from, NodeId to,
+                                     const ControlPayload& payload) {
     if (from != 1 || to != 0) return;
     const auto* seg = dynamic_cast<const TransportSegment*>(&payload);
     if (seg == nullptr || seg->isAck || !seg->inner) return;
     const auto* upd = dynamic_cast<const BgpUpdate*>(seg->inner.get());
     if (upd != nullptr && !upd->advertised.empty()) updateTimes.push_back(t);
-  };
+  });
   tn.warmUp(120_sec);
   updateTimes.clear();
   tn.net().findLink(3, 4)->fail();  // reshuffles several destinations
@@ -215,9 +215,9 @@ TEST(BgpQuiescence, NoUpdatesInSteadyState) {
   TestNet tn{topo, ProtocolKind::Bgp, cfg};
   tn.warmUp(200_sec);
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
-    ++messages;
-  };
+  testutil::CallbackSink sends{obs::kindBit(obs::TraceKind::ControlSend),
+                               [&messages](const obs::TraceEvent&) { ++messages; }};
+  tn.net().trace().addSink(&sends);
   tn.runUntil(400_sec);
   EXPECT_EQ(messages, 0u);
 }
@@ -231,14 +231,14 @@ TEST(BgpQuiescence, MraiJitterStaysInConfiguredBounds) {
   // Force a burst of changes, then measure the spacing of consecutive
   // advertisement batches from one node to one peer.
   std::vector<Time> sends;
-  tn.net().hooks().onControlSend = [&sends](Time t, NodeId from, NodeId to,
-                                            const ControlPayload& payload) {
+  tn.net().setControlPayloadTap([&sends](Time t, NodeId from, NodeId to,
+                                          const ControlPayload& payload) {
     if (from != 2 || to != 1) return;
     const auto* seg = dynamic_cast<const TransportSegment*>(&payload);
     if (seg == nullptr || seg->isAck || !seg->inner) return;
     const auto* upd = dynamic_cast<const BgpUpdate*>(seg->inner.get());
     if (upd != nullptr && !upd->advertised.empty()) sends.push_back(t);
-  };
+  });
   tn.net().findLink(4, 5)->fail();
   tn.runUntil(600_sec);
   for (std::size_t i = 1; i < sends.size(); ++i) {

@@ -107,9 +107,9 @@ TEST_P(Conformance, NoControlTrafficExplosionInSteadyState) {
   TestNet tn{testutil::ringTopology(6), GetParam(), conformanceConfig()};
   tn.warmUp(200_sec);
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&messages](Time, NodeId, NodeId, const ControlPayload&) {
-    ++messages;
-  };
+  testutil::CallbackSink sends{obs::kindBit(obs::TraceKind::ControlSend),
+                               [&messages](const obs::TraceEvent&) { ++messages; }};
+  tn.net().trace().addSink(&sends);
   tn.runUntil(260_sec);
   // 6 nodes x 2 neighbors x (60/30) periodic rounds x <=1 message each,
   // plus jitter slack. Event-driven protocols send ~0.

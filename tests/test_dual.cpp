@@ -80,7 +80,7 @@ TEST(Dual, NoTransientLoopsOnRingFailure) {
   TestNet tn{testutil::ringTopology(8), ProtocolKind::Dual};
   tn.warmUp(2_sec);
   bool everLooped = false;
-  tn.net().hooks().onRouteChange = [&](Time, NodeId, NodeId, NodeId, NodeId) {
+  auto checkAllPairs = [&](const obs::TraceEvent&) {
     for (NodeId s = 0; s < 8 && !everLooped; ++s) {
       for (NodeId d = 0; d < 8; ++d) {
         bool loop = false;
@@ -92,6 +92,8 @@ TEST(Dual, NoTransientLoopsOnRingFailure) {
       }
     }
   };
+  testutil::CallbackSink routes{obs::kindBit(obs::TraceKind::RouteChange), checkAllPairs};
+  tn.net().trace().addSink(&routes);
   tn.net().findLink(0, 7)->fail();
   tn.runUntil(60_sec);
   EXPECT_FALSE(everLooped);

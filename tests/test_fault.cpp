@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "exp/executor.hpp"
 #include "fault/injector.hpp"
 #include "fault/invariants.hpp"
+#include "routing/factory.hpp"
 #include "sim/random.hpp"
 #include "sim/watchdog.hpp"
 
@@ -501,6 +503,121 @@ TEST(InvariantChecker, CleanUnderCrashAndImpairments) {
   Scenario sc{cfg};
   sc.run();
   EXPECT_TRUE(sc.invariantChecker()->clean());
+}
+
+/// A 0-1-2 line for feeding the checker synthetic events: node 1 runs
+/// DBF (for the loop attribution), the others run nothing.
+struct InvariantCheckerSynthetic : ::testing::Test {
+  InvariantCheckerSynthetic() : net{sched, Rng{1}} {
+    for (int i = 0; i < 3; ++i) net.addNode();
+    net.addLink(0, 1, LinkConfig{});
+    net.addLink(1, 2, LinkConfig{});
+    net.finalize();
+    net.node(1).setProtocol(makeProtocol(ProtocolKind::Dbf, net.node(1), ProtocolConfig{}));
+  }
+
+  /// Feed one event at t = `sec` through the network's tracer.
+  obs::TraceEvent feed(double sec, obs::TraceKind kind, NodeId a, NodeId b, std::int64_t x = 0,
+                       std::int64_t y = 0, std::int64_t z = 0) {
+    const obs::TraceEvent ev{Time::seconds(sec), kind, a, b, x, y, z};
+    net.trace().emit(ev);
+    return ev;
+  }
+
+  Scheduler sched;
+  Network net;
+  fault::InvariantChecker checker{net};
+};
+
+TEST_F(InvariantCheckerSynthetic, FlagsPacketConservation) {
+  net.trace().addSink(&checker);
+  const auto dataDrop = static_cast<std::int64_t>(DropReason::QueueOverflow);
+  const auto orig = feed(1.0, obs::TraceKind::Originate, 0, 2, 7);
+  const auto del = feed(2.0, obs::TraceKind::Deliver, 2, 0, 7);
+  const auto ctrl = feed(3.0, obs::TraceKind::Drop, 1, kInvalidNode, 8, dataDrop, 0);  // not data
+  EXPECT_TRUE(checker.clean());
+  feed(4.0, obs::TraceKind::Drop, 1, kInvalidNode, 7, dataDrop, 1);  // data #7 twice
+  ASSERT_EQ(checker.violations().size(), 1u);
+  const auto& v = checker.violations()[0];
+  EXPECT_EQ(v.invariant, "packet-conservation");
+  EXPECT_EQ(v.at, Time::seconds(4.0));
+  EXPECT_EQ(v.trail, (std::vector<obs::TraceEvent>{orig, del, ctrl}));
+  EXPECT_EQ(checker.originated(), 1u);
+  EXPECT_EQ(checker.delivered(), 1u);
+  EXPECT_EQ(checker.dropped(), 1u);
+}
+
+TEST_F(InvariantCheckerSynthetic, FlagsTtlExhaustedForward) {
+  net.trace().addSink(&checker);
+  const auto live = feed(1.0, obs::TraceKind::Forward, 0, 1, 5, 1, 2);
+  EXPECT_TRUE(checker.clean());
+  feed(2.0, obs::TraceKind::Forward, 1, 2, 5, 0, 2);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "ttl-exhausted-forward");
+  EXPECT_EQ(checker.violations()[0].node, 1);
+  EXPECT_EQ(checker.violations()[0].trail, (std::vector<obs::TraceEvent>{live}));
+}
+
+TEST_F(InvariantCheckerSynthetic, FlagsFibNextHopAtSelfAndAtNonNeighbor) {
+  net.trace().addSink(&checker);
+  feed(1.0, obs::TraceKind::RouteChange, 0, kInvalidNode, 2, kInvalidNode, 1);  // neighbor: fine
+  feed(1.0, obs::TraceKind::RouteChange, 0, kInvalidNode, 2, 1, kInvalidNode);  // withdrawal: fine
+  EXPECT_TRUE(checker.clean());
+  feed(2.0, obs::TraceKind::RouteChange, 0, kInvalidNode, 2, kInvalidNode, 0);  // itself
+  feed(3.0, obs::TraceKind::RouteChange, 0, kInvalidNode, 2, 0, 2);  // 0 and 2 share no link
+  ASSERT_EQ(checker.violations().size(), 2u);
+  for (const auto& v : checker.violations()) {
+    EXPECT_EQ(v.invariant, "fib-invalid-nexthop");
+    EXPECT_EQ(v.node, 0);
+  }
+  EXPECT_NE(checker.violations()[0].detail.find("itself"), std::string::npos);
+  EXPECT_NE(checker.violations()[1].detail.find("not an attached neighbor"), std::string::npos);
+  EXPECT_EQ(checker.violations()[1].trail.size(), 3u);  // both clean changes + the self route
+}
+
+TEST_F(InvariantCheckerSynthetic, FlagsTransmitOnDownLink) {
+  net.trace().addSink(&checker);
+  const auto down = feed(1.0, obs::TraceKind::LinkDown, 0, 1);
+  feed(1.5, obs::TraceKind::ControlSend, 0, 1, 40);  // not a checker kind: not in the trail
+  feed(2.0, obs::TraceKind::DownLinkTransmit, 0, 1);
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.violations()[0].invariant, "transmit-on-down-link");
+  EXPECT_EQ(checker.violations()[0].node, 0);
+  EXPECT_EQ(checker.violations()[0].trail, (std::vector<obs::TraceEvent>{down}));
+  EXPECT_NE(checker.summary().find("link 0-1 down"), std::string::npos);
+}
+
+TEST_F(InvariantCheckerSynthetic, AttributesTtlDropsToTheDroppingNodesProtocol) {
+  net.trace().addSink(&checker);
+  const auto ttl = static_cast<std::int64_t>(DropReason::TtlExpired);
+  for (std::int64_t id = 1; id <= 3; ++id) feed(1.0, obs::TraceKind::Originate, 0, 2, id);
+  feed(2.0, obs::TraceKind::Drop, 1, kInvalidNode, 1, ttl, 1);
+  feed(2.0, obs::TraceKind::Drop, 1, kInvalidNode, 2, ttl, 1);
+  feed(2.0, obs::TraceKind::Drop, 0, kInvalidNode, 3, ttl, 1);
+  feed(2.0, obs::TraceKind::Drop, 1, kInvalidNode, 4, ttl, 0);  // control: not a loop kill
+  EXPECT_TRUE(checker.clean());  // loops are legal transients
+  EXPECT_EQ(checker.loopsByProtocol(),
+            (std::map<std::string, std::uint64_t>{{"(no protocol)", 1}, {"DBF", 2}}));
+}
+
+TEST_F(InvariantCheckerSynthetic, TrailKeepsTheLastSixteenEventsOldestFirst) {
+  net.trace().addSink(&checker);
+  std::vector<obs::TraceEvent> fed;
+  for (int i = 0; i < 20; ++i) {
+    fed.push_back(feed(i, i % 2 == 0 ? obs::TraceKind::LinkDown : obs::TraceKind::LinkUp, 1, 2));
+  }
+  feed(20.0, obs::TraceKind::DownLinkTransmit, 1, 2);
+  feed(21.0, obs::TraceKind::DownLinkTransmit, 2, 1);
+  ASSERT_EQ(checker.violations().size(), 2u);
+  const auto& first = checker.violations()[0].trail;
+  ASSERT_EQ(first.size(), fault::InvariantChecker::kTrailLength);
+  EXPECT_EQ(first, (std::vector<obs::TraceEvent>(fed.end() - 16, fed.end())));
+  // The first trigger is now the second one's predecessor.
+  const auto& second = checker.violations()[1].trail;
+  ASSERT_EQ(second.size(), fault::InvariantChecker::kTrailLength);
+  EXPECT_EQ(second.front(), fed[fed.size() - 15]);
+  EXPECT_EQ(second.back().kind, obs::TraceKind::DownLinkTransmit);
+  EXPECT_EQ(second.back().t, Time::seconds(20.0));
 }
 
 // ---------------------------------------------------------------- watchdog

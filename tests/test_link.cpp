@@ -10,7 +10,7 @@ namespace {
 
 using namespace rcsim::literals;
 
-struct LinkFixture : ::testing::Test {
+struct LinkFixture : ::testing::Test, obs::TraceSink {
   LinkFixture() : net{sched, Rng{1}} {
     a = net.addNode();
     b = net.addNode();
@@ -21,12 +21,18 @@ struct LinkFixture : ::testing::Test {
     link = &net.addLink(a, b, cfg);
     net.finalize();
 
-    net.hooks().onDeliver = [this](Time t, NodeId node, const Packet& p) {
-      deliveries.push_back({t, node, p.id});
-    };
-    net.hooks().onDrop = [this](Time, NodeId, const Packet&, DropReason r) {
-      drops.push_back(r);
-    };
+    net.trace().addSink(this);
+  }
+
+  [[nodiscard]] std::uint32_t kinds() const override {
+    return obs::kindBit(obs::TraceKind::Deliver) | obs::kindBit(obs::TraceKind::Drop);
+  }
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    if (ev.kind == obs::TraceKind::Deliver) {
+      deliveries.push_back({ev.t, ev.a, static_cast<std::uint64_t>(ev.x)});
+    } else if (ev.kind == obs::TraceKind::Drop) {
+      drops.push_back(static_cast<DropReason>(ev.y));
+    }
   }
 
   Packet makePacket(std::uint32_t bytes = 1000) {

@@ -91,7 +91,7 @@ TEST(Network, TraceSinkReceivesFailureEvents) {
   net.addNode();
   Link& l = net.addLink(0, 1, LinkConfig{});
   obs::MemoryTraceSink sink;
-  net.trace().setSink(&sink);
+  net.trace().addSink(&sink);
   l.fail();
   l.recover();
   ASSERT_EQ(sink.events().size(), 2u);
@@ -99,24 +99,59 @@ TEST(Network, TraceSinkReceivesFailureEvents) {
   EXPECT_EQ(sink.events()[1].kind, obs::TraceKind::LinkUp);
   EXPECT_EQ(sink.events()[0].a, 0);
   EXPECT_EQ(sink.events()[0].b, 1);
-  EXPECT_EQ(sink.events()[0].category(), obs::TraceCategory::Failure);
 }
 
-TEST(Network, TraceCategoryMaskFiltersEvents) {
+/// Records everything it is handed but asks only for `kinds`.
+class AskingSink final : public obs::MemoryTraceSink {
+ public:
+  explicit AskingSink(std::uint32_t kinds) : kinds_{kinds} {}
+  [[nodiscard]] std::uint32_t kinds() const override { return kinds_; }
+
+ private:
+  std::uint32_t kinds_;
+};
+
+TEST(Network, EmittedKindsAreUnionOfSinkKinds) {
   Scheduler sched;
   Network net{sched, Rng{1}};
   net.addNode();
   net.addNode();
   Link& l = net.addLink(0, 1, LinkConfig{});
-  obs::MemoryTraceSink sink;
-  net.trace().setSink(&sink);
-  net.trace().setCategoryMask(1u << static_cast<unsigned>(obs::TraceCategory::Routing));
+  net.finalize();
+  EXPECT_EQ(net.trace().kinds(), 0u);  // no sinks: nothing is built
+
+  AskingSink routes{obs::kindBit(obs::TraceKind::RouteChange)};
+  AskingSink downs{obs::kindBit(obs::TraceKind::LinkDown)};
+  net.trace().addSink(&routes);
+  net.trace().addSink(&downs);
+  EXPECT_EQ(net.trace().kinds(),
+            obs::kindBit(obs::TraceKind::RouteChange) | obs::kindBit(obs::TraceKind::LinkDown));
+
+  // An emitted kind reaches every sink, in attach order; one nobody asked
+  // for reaches none.
+  net.node(0).setRoute(1, 1);
   l.fail();
-  EXPECT_TRUE(sink.events().empty());  // Failure bit is off
-  net.trace().setCategoryMask(obs::Tracer::kAllCategories);
   l.recover();
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].kind, obs::TraceKind::LinkUp);
+  const std::vector<obs::TraceKind> both{obs::TraceKind::RouteChange, obs::TraceKind::LinkDown};
+  for (const auto* sink : {&routes, &downs}) {
+    ASSERT_EQ(sink->events().size(), 2u);
+    EXPECT_EQ(sink->events()[0].kind, both[0]);
+    EXPECT_EQ(sink->events()[1].kind, both[1]);
+  }
+
+  // Removing a sink drops its kinds from the union.
+  net.trace().removeSink(&downs);
+  EXPECT_EQ(net.trace().kinds(), obs::kindBit(obs::TraceKind::RouteChange));
+  l.fail();
+  net.node(0).setRoute(1, kInvalidNode);
+  ASSERT_EQ(routes.events().size(), 3u);
+  EXPECT_EQ(routes.events()[2].kind, obs::TraceKind::RouteChange);
+  EXPECT_EQ(downs.events().size(), 2u);
+
+  // A default sink asks for everything.
+  obs::MemoryTraceSink all;
+  net.trace().addSink(&all);
+  EXPECT_EQ(net.trace().kinds(), obs::kAllKinds);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -9,7 +11,7 @@ namespace {
 using namespace rcsim::literals;
 
 /// Three nodes in a line: a - m - b, manual FIBs, no routing protocol.
-struct ForwardingFixture : ::testing::Test {
+struct ForwardingFixture : ::testing::Test, obs::TraceSink {
   ForwardingFixture() : net{sched, Rng{3}} {
     a = net.addNode();
     m = net.addNode();
@@ -22,17 +24,32 @@ struct ForwardingFixture : ::testing::Test {
     net.node(m).setRoute(a, a);
     net.node(b).setRoute(a, m);
 
-    net.hooks().onDeliver = [this](Time t, NodeId n, const Packet& p) {
-      delivered.push_back(p);
-      deliveredAt.push_back(t);
-      deliveredNode.push_back(n);
-    };
-    net.hooks().onDrop = [this](Time, NodeId n, const Packet&, DropReason r) {
-      drops.emplace_back(n, r);
-    };
-    net.hooks().onForward = [this](Time, NodeId n, const Packet&, NodeId nh) {
-      forwards.emplace_back(n, nh);
-    };
+    // Delivered packets come from the nodes' delivery handlers (they carry
+    // the whole packet); drops, forwards and route changes from the trace.
+    for (const NodeId n : {a, m, b}) {
+      net.node(n).addDeliveryHandler([this, n](const Packet& p) {
+        delivered.push_back(p);
+        deliveredAt.push_back(sched.now());
+        deliveredNode.push_back(n);
+      });
+    }
+    net.trace().addSink(this);
+  }
+
+  [[nodiscard]] std::uint32_t kinds() const override {
+    return obs::kindBit(obs::TraceKind::Drop) | obs::kindBit(obs::TraceKind::Forward) |
+           obs::kindBit(obs::TraceKind::RouteChange);
+  }
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    switch (ev.kind) {
+      case obs::TraceKind::Drop: drops.emplace_back(ev.a, static_cast<DropReason>(ev.y)); break;
+      case obs::TraceKind::Forward: forwards.emplace_back(ev.a, ev.b); break;
+      case obs::TraceKind::RouteChange:
+        changes.emplace_back(ev.a, static_cast<NodeId>(ev.x), static_cast<NodeId>(ev.y),
+                             static_cast<NodeId>(ev.z));
+        break;
+      default: break;
+    }
   }
 
   Packet makePacket(NodeId src, NodeId dst, int ttl = 64) {
@@ -57,6 +74,7 @@ struct ForwardingFixture : ::testing::Test {
   std::vector<NodeId> deliveredNode;
   std::vector<std::pair<NodeId, DropReason>> drops;
   std::vector<std::pair<NodeId, NodeId>> forwards;
+  std::vector<std::tuple<NodeId, NodeId, NodeId, NodeId>> changes;
 };
 
 TEST_F(ForwardingFixture, EndToEndDelivery) {
@@ -128,10 +146,6 @@ TEST_F(ForwardingFixture, TwoNodeForwardingLoopExpiresTtl) {
 }
 
 TEST_F(ForwardingFixture, RouteChangeHookFires) {
-  std::vector<std::tuple<NodeId, NodeId, NodeId, NodeId>> changes;
-  net.hooks().onRouteChange = [&](Time, NodeId n, NodeId dst, NodeId oldNh, NodeId newNh) {
-    changes.emplace_back(n, dst, oldNh, newNh);
-  };
   net.node(a).setRoute(b, m);  // unchanged: no event
   EXPECT_TRUE(changes.empty());
   net.node(a).setRoute(b, kInvalidNode);

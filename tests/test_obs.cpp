@@ -2,7 +2,7 @@
 // rcsim-trace-v1 wire format (encode/decode/CRC/torn tail), trace
 // determinism across identical seeds, replay agreement with the live
 // stats path walk, the online convergence-anatomy profiler (episode
-// semantics, offline-replay equivalence, verbatim sink chaining), and
+// semantics, offline-replay equivalence, verbatim fan-out to every sink), and
 // the executor's published metrics block.
 
 #include <gtest/gtest.h>
@@ -289,7 +289,7 @@ ScenarioConfig quickConfig(ProtocolKind kind, std::uint64_t seed) {
 std::vector<TraceEvent> traceRun(const ScenarioConfig& cfg) {
   Scenario sc{cfg};
   MemoryTraceSink sink;
-  sc.network().trace().setSink(&sink);
+  sc.attachTraceSink(&sink);
   sc.run();
   return sink.events();
 }
@@ -311,7 +311,7 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheRun) {
   const RunResult untraced = runScenario(cfg);
   Scenario sc{cfg};
   MemoryTraceSink sink;
-  sc.network().trace().setSink(&sink);
+  sc.attachTraceSink(&sink);
   sc.run();
   EXPECT_EQ(sc.scheduler().executedEvents(), untraced.eventsExecuted);
   EXPECT_EQ(sc.stats().data().delivered, untraced.data.delivered);
@@ -322,7 +322,7 @@ void expectReplayMatchesStatsWalker(ProtocolKind kind, std::uint64_t seed) {
   const ScenarioConfig cfg = quickConfig(kind, seed);
   Scenario sc{cfg};
   MemoryTraceSink sink;
-  sc.network().trace().setSink(&sink);
+  sc.attachTraceSink(&sink);
   sc.run();
 
   ReplayOptions opt;
@@ -415,7 +415,7 @@ TEST(ExecutorMetrics, JobPublishesSweepProfile) {
 
 // ------------------------------------------------- convergence anatomy
 
-// Live chained analyzer vs offline replay vs offline analyzer, on real
+// Live analyzer vs offline replay vs offline analyzer, on real
 // (short) scenarios. The same cross-check over the 20 default-config
 // golden scenarios lives in test_perf_gate.cpp next to the pinned
 // digests; this one keeps the equivalence in the fast suite.
@@ -423,7 +423,7 @@ void expectAnatomyMatchesReplay(ProtocolKind kind, std::uint64_t seed) {
   const ScenarioConfig cfg = quickConfig(kind, seed);
   Scenario sc{cfg};
   MemoryTraceSink sink;
-  sc.attachTraceSink(&sink);  // chained behind the analyzer, not instead of it
+  sc.attachTraceSink(&sink);  // beside the analyzer, not instead of it
   sc.run();
 
   const ConvergenceAnalyzer* live = sc.convergenceAnalyzer();
@@ -605,24 +605,25 @@ TEST(Anatomy, EpisodeSemanticsOnSyntheticStream) {
   EXPECT_DOUBLE_EQ(s.blackholeSeconds, 1.0);
 }
 
-TEST(Anatomy, ChainsDownstreamVerbatim) {
-  // As a chained TraceSink the analyzer must forward every event
-  // unchanged — including events after finish(), which it no longer
-  // analyzes but still passes through (a recorder downstream must not
-  // lose the tail).
+TEST(Anatomy, SharesStreamVerbatimWithLaterSinks) {
+  // The analyzer and a recorder on one Tracer: the recorder must get every
+  // event unchanged — including events after the analyzer's finish(),
+  // which it no longer analyzes (a recorder must not lose the tail).
   ReplayOptions opt;
   opt.src = 0;
   opt.dst = 1;
   opt.nodeCount = 2;
+  ConvergenceAnalyzer analyzer{opt};
   MemoryTraceSink downstream;
-  ConvergenceAnalyzer analyzer{opt, &downstream};
-  EXPECT_EQ(analyzer.downstream(), &downstream);
+  Tracer tracer;
+  tracer.addSink(&analyzer);
+  tracer.addSink(&downstream);
 
   std::vector<TraceEvent> sent;
   auto feed = [&](double t, TraceKind kind) {
     TraceEvent ev{Time::seconds(t), kind, 0, 1, 0, 0, 0};
     sent.push_back(ev);
-    analyzer.onTraceEvent(ev);
+    tracer.emit(ev);
   };
   feed(1.0, TraceKind::LinkDown);
   feed(2.0, TraceKind::ControlSend);

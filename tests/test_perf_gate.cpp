@@ -45,6 +45,11 @@ constexpr const char* kGoldenBench = R"json({
     "events_per_sec_off": 5300000.25,
     "overhead_pct": 1.88
   },
+  "invariants_overhead": {
+    "events_per_sec_on": 5100000.00,
+    "events_per_sec_off": 5300000.25,
+    "overhead_pct": 3.77
+  },
   "rss_mb": 9.40
 })json";
 
@@ -73,6 +78,11 @@ TEST(PerfGate, GoldenBenchJsonParses) {
   EXPECT_DOUBLE_EQ(anat.numberAt("events_per_sec_on"), 5200000.50);
   EXPECT_DOUBLE_EQ(anat.numberAt("events_per_sec_off"), 5300000.25);
   EXPECT_DOUBLE_EQ(anat.numberAt("overhead_pct"), 1.88);
+  // The invariant checker's row, same layout, held to <= 10%.
+  const JsonValue& inv = v.at("invariants_overhead");
+  EXPECT_DOUBLE_EQ(inv.numberAt("events_per_sec_on"), 5100000.00);
+  EXPECT_DOUBLE_EQ(inv.numberAt("events_per_sec_off"), 5300000.25);
+  EXPECT_DOUBLE_EQ(inv.numberAt("overhead_pct"), 3.77);
   EXPECT_DOUBLE_EQ(v.numberAt("rss_mb"), 9.40);
 }
 
@@ -126,7 +136,7 @@ TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
     cfg.seed = g.seed;
 
     // Traced, analyzer-on run. The pinned digests predate the anatomy
-    // profiler, so matching them with the analyzer chained into the trace
+    // profiler, so matching them with the analyzer on the trace
     // path proves the profiler observes without perturbing.
     Scenario sc{cfg};
     obs::MemoryTraceSink sink;
@@ -162,7 +172,7 @@ TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
     EXPECT_EQ(on.dropped, replay.dropped) << toString(g.protocol) << " seed " << g.seed;
 
     // And the offline analyzer over the same events must reproduce the
-    // live episode list exactly — live-chained and trace-file queries
+    // live episode list exactly — live and trace-file queries
     // (rcsim-inspect) are the same computation.
     const obs::AnatomyReport offline = obs::analyzeTrace(sink.events(), opt);
     EXPECT_EQ(on.episodes, offline.episodes) << toString(g.protocol) << " seed " << g.seed;

@@ -134,12 +134,12 @@ TEST(Rip, MessageRespectsEntryCap) {
   TestNet tn{topo, ProtocolKind::Rip, cfg};
   std::size_t maxEntries = 0;
   std::uint64_t messages = 0;
-  tn.net().hooks().onControlSend = [&](Time, NodeId, NodeId, const ControlPayload& payload) {
+  tn.net().setControlPayloadTap([&](Time, NodeId, NodeId, const ControlPayload& payload) {
     if (const auto* u = dynamic_cast<const DvUpdate*>(&payload)) {
       maxEntries = std::max(maxEntries, u->entries.size());
       ++messages;
     }
-  };
+  });
   tn.warmUp(40_sec);
   EXPECT_GT(messages, 0u);
   EXPECT_LE(maxEntries, 5u);

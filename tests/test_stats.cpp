@@ -83,7 +83,7 @@ struct TracerFixture : ::testing::Test {
 
 TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   StatsCollector stats{net, StatsCollector::Config{0, 3}};
-  stats.install();
+  net.trace().addSink(&stats);
   stats.setFailureWatermark(10_sec);
 
   net.node(0).setRoute(3, 1);
@@ -116,7 +116,7 @@ TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
 
 TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
   StatsCollector stats{net, StatsCollector::Config{0, 3}};
-  stats.install();
+  net.trace().addSink(&stats);
   struct Dummy final : ControlPayload {
     std::uint32_t sizeBytes() const override { return 8; }
     std::string describe() const override { return "dummy"; }
@@ -131,7 +131,7 @@ TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
 
 TEST_F(TracerFixture, WatermarkSplitsDropCounters) {
   StatsCollector stats{net, StatsCollector::Config{0, 3}};
-  stats.install();
+  net.trace().addSink(&stats);
   stats.setFailureWatermark(5_sec);
   net.node(0).setRoute(3, 1);
   net.node(1).setRoute(3, 2);
@@ -233,9 +233,10 @@ TEST(PathWalk, UnusableEndpointsRecordNothing) {
 
 /// At every RouteChange, the stats walker's current path (and its loop /
 /// black-hole flags) must be Network::fibWalk over the real FIBs. The
-/// walker reads only route-change hooks, so this pins its column shadow to
-/// the tables it stands in for. Hooks fire before the trace event, so the
-/// walker has already seen the change being checked.
+/// walker reads only RouteChange events, so this pins its column shadow to
+/// the tables it stands in for. The stats collector is the first sink and
+/// this oracle the last, so the walker has already seen the change being
+/// checked.
 class LiveFibOracle final : public obs::TraceSink {
  public:
   explicit LiveFibOracle(Scenario& sc) : sc_{sc} {}

@@ -4,7 +4,9 @@
 // kind everywhere, ready to run — a miniature of core/Scenario for unit
 // tests on arbitrary hand-made graphs.
 
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "net/network.hpp"
 #include "routing/factory.hpp"
@@ -12,6 +14,22 @@
 #include "topo/topology.hpp"
 
 namespace rcsim::testutil {
+
+/// A TraceSink that hands the events of the kinds it asks for to a
+/// callback: the test-side replacement for ad-hoc network observers.
+class CallbackSink final : public obs::TraceSink {
+ public:
+  CallbackSink(std::uint32_t kinds, std::function<void(const obs::TraceEvent&)> fn)
+      : kinds_{kinds}, fn_{std::move(fn)} {}
+  [[nodiscard]] std::uint32_t kinds() const override { return kinds_; }
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    if ((kinds_ & obs::kindBit(ev.kind)) != 0) fn_(ev);
+  }
+
+ private:
+  std::uint32_t kinds_;
+  std::function<void(const obs::TraceEvent&)> fn_;
+};
 
 class TestNet {
  public:

@@ -120,8 +120,8 @@ int runReplay(const std::string& path, double fromSec, double toSec) {
 int runSelftest(const ScenarioConfig& cfg) {
   Scenario sc{cfg};
   obs::MemoryTraceSink sink;
-  // Chain behind the scenario's online ConvergenceAnalyzer (when enabled)
-  // so the selftest also proves the analyzer forwards the stream verbatim.
+  // Attached behind the stats collector and the online analyzer, so the
+  // recorded stream is exactly the one they saw.
   sc.attachTraceSink(&sink);
   sc.run();
 
@@ -131,7 +131,7 @@ int runSelftest(const ScenarioConfig& cfg) {
   opt.nodeCount = sc.network().nodeCount();
   const obs::ReplayResult r = obs::replayTrace(sink.events(), opt);
 
-  // The stats walker follows route-change hooks, never the FIB itself:
+  // The stats walker follows RouteChange events, never the FIB itself:
   // it must equal the replay of the recorded stream event for event, and
   // its final path must be the live FIB walk.
   const auto& walker = sc.stats().pathWalker();
@@ -161,6 +161,63 @@ int runSelftest(const ScenarioConfig& cfg) {
               sink.events().size(), obs::traceDigest(sink.events()).c_str());
   return 0;
 }
+
+/// Live mode's printer: one sink on the scenario's tracer, printing the
+/// selected channels inside [from, to]. It asks only for the kinds it
+/// prints, beside the stats and anatomy sinks already attached.
+class LivePrinter final : public obs::TraceSink {
+ public:
+  LivePrinter(Time from, Time to, const std::set<std::string>& channels)
+      : from_{from}, to_{to} {
+    using obs::TraceKind;
+    if (channels.count("rt") > 0) kinds_ |= obs::kindBit(TraceKind::RouteChange);
+    if (channels.count("fwd") > 0) kinds_ |= obs::kindBit(TraceKind::Forward);
+    if (channels.count("drop") > 0) kinds_ |= obs::kindBit(TraceKind::Drop);
+    if (channels.count("del") > 0) kinds_ |= obs::kindBit(TraceKind::Deliver);
+    if (channels.count("fail") > 0) {
+      kinds_ |= obs::kindBit(TraceKind::LinkDown) | obs::kindBit(TraceKind::LinkUp) |
+                obs::kindBit(TraceKind::AdjDown) | obs::kindBit(TraceKind::AdjUp);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t kinds() const override { return kinds_; }
+
+  void onTraceEvent(const obs::TraceEvent& ev) override {
+    if ((kinds_ & obs::kindBit(ev.kind)) == 0 || ev.t < from_ || ev.t > to_) return;
+    const double t = ev.t.toSeconds();
+    switch (ev.kind) {
+      case obs::TraceKind::RouteChange:
+        std::printf("%12.6f\trt\tnode=%d dst=%lld %lld -> %lld\n", t, ev.a,
+                    static_cast<long long>(ev.x), static_cast<long long>(ev.y),
+                    static_cast<long long>(ev.z));
+        break;
+      case obs::TraceKind::Forward:
+        std::printf("%12.6f\tfwd\t%d -> %d  pkt=%llu ttl=%lld\n", t, ev.a, ev.b,
+                    static_cast<unsigned long long>(ev.x), static_cast<long long>(ev.y));
+        break;
+      case obs::TraceKind::Drop:
+        if (ev.z != 1) break;  // data packets only
+        std::printf("%12.6f\tdrop\tnode=%d pkt=%llu reason=%s\n", t, ev.a,
+                    static_cast<unsigned long long>(ev.x),
+                    toString(static_cast<DropReason>(ev.y)));
+        break;
+      case obs::TraceKind::Deliver:
+        std::printf("%12.6f\tdel\tnode=%d pkt=%llu delay=%.6f hops=%lld\n", t, ev.a,
+                    static_cast<unsigned long long>(ev.x),
+                    (ev.t - Time::nanoseconds(ev.y)).toSeconds(),
+                    static_cast<long long>(ev.z > 0 ? ev.z - 1 : 0));
+        break;
+      default:  // link and adjacency up/down
+        std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", t, ev.a, ev.b,
+                    ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
+        break;
+    }
+  }
+
+ private:
+  Time from_, to_;
+  std::uint32_t kinds_ = 0;
+};
 
 }  // namespace
 
@@ -218,9 +275,9 @@ int main(int argc, char** argv) {
     if (!recordPath.empty()) {
       Scenario sc{cfg};
       obs::FileTraceSink sink{recordPath, traceMeta(sc, cfg)};
-      // Chained behind the online analyzer (when enabled): the recorded
-      // stream is verbatim either way, and rcsim-inspect --episodes on the
-      // file reproduces the analyzer's numbers from the same events.
+      // The recorder sees the same stream as the online analyzer, so
+      // rcsim-inspect --episodes on the file reproduces the analyzer's
+      // numbers from the same events.
       sc.attachTraceSink(&sink);
       sc.run();
       sc.attachTraceSink(nullptr);
@@ -237,69 +294,13 @@ int main(int argc, char** argv) {
   Scenario sc{cfg};
   const Time from = Time::seconds(fromSec);
   const Time to = Time::seconds(toSec);
-  auto inWindow = [&](Time t) { return t >= from && t <= to; };
-  auto want = [&](const char* k) { return kinds.count(k) > 0; };
-
-  // The StatsCollector owns the network hooks; wrap them so both the stats
-  // and the trace output see every event.
-  auto& hooks = sc.network().hooks();
-  const auto prevRoute = hooks.onRouteChange;
-  hooks.onRouteChange = [&, prevRoute](Time t, NodeId n, NodeId d, NodeId o, NodeId nw) {
-    if (prevRoute) prevRoute(t, n, d, o, nw);
-    if (want("rt") && inWindow(t)) {
-      std::printf("%12.6f\trt\tnode=%d dst=%d %d -> %d\n", t.toSeconds(), n, d, o, nw);
-    }
-  };
-  const auto prevForward = hooks.onForward;
-  hooks.onForward = [&, prevForward](Time t, NodeId n, const Packet& p, NodeId nh) {
-    if (prevForward) prevForward(t, n, p, nh);
-    if (want("fwd") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tfwd\t%d -> %d  pkt=%llu ttl=%d\n", t.toSeconds(), n, nh,
-                  static_cast<unsigned long long>(p.id), p.ttl);
-    }
-  };
-  const auto prevDrop = hooks.onDrop;
-  hooks.onDrop = [&, prevDrop](Time t, NodeId n, const Packet& p, DropReason r) {
-    if (prevDrop) prevDrop(t, n, p, r);
-    if (want("drop") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tdrop\tnode=%d pkt=%llu reason=%s\n", t.toSeconds(), n,
-                  static_cast<unsigned long long>(p.id), toString(r));
-    }
-  };
-  const auto prevDeliver = hooks.onDeliver;
-  hooks.onDeliver = [&, prevDeliver](Time t, NodeId n, const Packet& p) {
-    if (prevDeliver) prevDeliver(t, n, p);
-    if (want("del") && inWindow(t) && p.kind == PacketKind::Data) {
-      std::printf("%12.6f\tdel\tnode=%d pkt=%llu delay=%.6f hops=%zu\n", t.toSeconds(), n,
-                  static_cast<unsigned long long>(p.id), (t - p.sendTime).toSeconds(),
-                  p.trace ? p.trace->size() - 1 : 0);
-    }
-  };
-  // Link up/down transitions arrive through the typed tracer's Failure
-  // channel now (there are no string traces left to subscribe to).
-  class FailPrinter final : public obs::TraceSink {
-   public:
-    FailPrinter(Time from, Time to) : from_{from}, to_{to} {}
-    void onTraceEvent(const obs::TraceEvent& ev) override {
-      if (ev.t < from_ || ev.t > to_) return;
-      std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", ev.t.toSeconds(), ev.a, ev.b,
-                  ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
-    }
-
-   private:
-    Time from_, to_;
-  };
-  FailPrinter failPrinter{from, to};
-  if (want("fail")) {
-    sc.network().trace().setSink(&failPrinter);
-    sc.network().trace().setCategoryMask(1u << static_cast<unsigned>(obs::TraceCategory::Failure));
-  }
-
+  LivePrinter printer{from, to, kinds};
+  sc.attachTraceSink(&printer);
   sc.run();
 
-  if (want("path")) {
+  if (kinds.count("path") > 0) {
     for (const auto& e : sc.stats().pathWalker().events()) {
-      if (!inWindow(e.t)) continue;
+      if (e.t < from || e.t > to) continue;
       printPathEvent(e.t, e.path, e.loop, e.blackhole);
     }
   }
