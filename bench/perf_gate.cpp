@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -85,24 +86,45 @@ double benchSelfResched() {
 }
 
 /// Best-of-`reps` wall milliseconds of one full scenario run.
-double benchScenarioMs(ProtocolKind kind, int reps) {
+double benchScenarioMs(const ScenarioConfig& cfg, const char* name, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    ScenarioConfig cfg;
-    cfg.protocol = kind;
-    cfg.mesh.degree = 4;
-    cfg.seed = 11;
     const double start = nowSec();
     const RunResult result = runScenario(cfg);
     const double ms = (nowSec() - start) * 1e3;
-    if (result.sent == 0) std::fprintf(stderr, "warning: %s scenario sent 0 packets\n",
-                                       toString(kind));
+    if (result.sent == 0) std::fprintf(stderr, "warning: %s scenario sent 0 packets\n", name);
     if (ms < best) best = ms;
   }
   return best;
 }
 
-/// The observers are gated absolutely on their events/sec cost over a full
+/// The default 7x7 degree-4 scenario every scenario row runs.
+ScenarioConfig paperScenario(ProtocolKind kind) {
+  ScenarioConfig cfg;
+  cfg.protocol = kind;
+  cfg.mesh.degree = 4;
+  cfg.seed = 11;
+  return cfg;
+}
+
+/// A reduced bench/e2e `dataplane_flows`: 32 small-packet CBR flows on the
+/// DBF mesh with a 10 s traffic window and one failure, so the per-packet
+/// path (scheduler, link delivery, forwarding) does nearly all the work.
+ScenarioConfig dataplaneFlowsScenario() {
+  ScenarioConfig cfg = paperScenario(ProtocolKind::Dbf);
+  cfg.protoCfg.dv.infinityMetric = 64;
+  cfg.ttl = 64;
+  cfg.flows = 32;
+  cfg.packetsPerSecond = 200.0;
+  cfg.packetBytes = 64;
+  cfg.trafficStart = Time::seconds(60.0);
+  cfg.trafficStop = Time::seconds(70.0);
+  cfg.failAt = Time::seconds(65.0);
+  cfg.endAt = Time::seconds(72.0);
+  return cfg;
+}
+
+/// The observers are gated absolutely on their CPU cost over a full
 /// scenario, independent of the baseline file. The online convergence-
 /// anatomy profiler must be cheap enough to stay on by default; the
 /// invariant checker runs on every fuzzer execution and under
@@ -110,40 +132,51 @@ double benchScenarioMs(ProtocolKind kind, int reps) {
 constexpr double kMaxAnatomyOverheadPct = 3.0;
 constexpr double kMaxInvariantsOverheadPct = 10.0;
 
-/// Best observed events/sec of the full DBF scenario with one observer
-/// switched on or off. The two variants execute the identical event
-/// sequence (the golden digests pin that), so the rate ratio isolates the
-/// observer's per-event cost.
+/// One observer's cost: per interleaved on/off pair of full DBF scenario
+/// runs, the ratio of the two runs' thread CPU times. The two variants
+/// execute the identical event sequence (the golden digests pin that), so
+/// the ratio isolates the observer's per-event cost; the median over pairs
+/// discards the pairs a load spike hit on one side only.
 struct OverheadBench {
-  double onEventsPerSec = 0.0;
-  double offEventsPerSec = 0.0;
+  std::vector<double> ratios;  ///< on/off thread CPU time, one per pair
 
+  [[nodiscard]] double medianRatio() const {
+    if (ratios.empty()) return 0.0;
+    std::vector<double> v = ratios;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+  }
   [[nodiscard]] double pct() const {
-    if (offEventsPerSec <= 0.0 || onEventsPerSec <= 0.0) return 0.0;
-    return (1.0 - onEventsPerSec / offEventsPerSec) * 100.0;
+    return ratios.empty() ? 0.0 : (medianRatio() - 1.0) * 100.0;
   }
 };
 
-// The on/off reps are interleaved pairwise so machine drift (thermal,
-// load, allocator state — this runs right after the 100x100 converge) hits
-// both sides equally; like pooled_speedup_vs_seed, the *ratio* is the
-// load-immune number the gate holds to its absolute budget.
-OverheadBench benchOverhead(bool ScenarioConfig::*observer, int reps) {
+/// CPU time consumed by the calling thread, in seconds. Unlike wall time
+/// it does not count the time the thread waits for a core on a loaded
+/// machine.
+double threadCpuSec() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// The two sides of a pair run back to back, alternating which goes first,
+// so drift (thermal, load, allocator state — this runs right after the
+// 100x100 converge) hits both equally; like pooled_speedup_vs_seed, the
+// *ratio* is the load-immune number the gate holds to its absolute budget.
+OverheadBench benchOverhead(bool ScenarioConfig::*observer, int pairs) {
   OverheadBench b;
-  for (int r = 0; r < reps; ++r) {
-    for (const bool on : {true, false}) {
-      ScenarioConfig cfg;
-      cfg.protocol = ProtocolKind::Dbf;
-      cfg.mesh.degree = 4;
-      cfg.seed = 11;
+  for (int r = 0; r < pairs; ++r) {
+    double cpu[2] = {0.0, 0.0};  // [off, on]
+    for (const bool on : {r % 2 == 0, r % 2 != 0}) {
+      ScenarioConfig cfg = paperScenario(ProtocolKind::Dbf);
       cfg.*observer = on;
-      const double start = nowSec();
-      const RunResult result = runScenario(cfg);
-      const double sec = nowSec() - start;
-      if (sec <= 0.0) continue;
-      double& best = on ? b.onEventsPerSec : b.offEventsPerSec;
-      best = std::max(best, static_cast<double>(result.eventsExecuted) / sec);
+      const double start = threadCpuSec();
+      static_cast<void>(runScenario(cfg));
+      cpu[on ? 1 : 0] = threadCpuSec() - start;
     }
+    if (cpu[0] > 0.0 && cpu[1] > 0.0) b.ratios.push_back(cpu[1] / cpu[0]);
   }
   return b;
 }
@@ -246,14 +279,17 @@ Metrics collect(double minTimeSec, int reps, bool includeConverge) {
       measureItemsPerSec(kSelfReschedEvents, minTimeSec, reps, [] { benchSelfResched(); });
   for (const ProtocolKind kind :
        {ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp, ProtocolKind::Bgp3}) {
-    m.scenarioMs.emplace_back(toString(kind), benchScenarioMs(kind, reps));
+    m.scenarioMs.emplace_back(toString(kind),
+                              benchScenarioMs(paperScenario(kind), toString(kind), reps));
   }
+  m.scenarioMs.emplace_back("dataplane_flows",
+                            benchScenarioMs(dataplaneFlowsScenario(), "dataplane_flows", reps));
   collectTopology(m, reps, includeConverge);
-  // Interleave-free back-to-back measurement under the same load, like the
-  // pooled-vs-seed scheduler pair above; extra reps because a 3% bound
-  // needs less noise than a 15% one.
-  m.anatomy = benchOverhead(&ScenarioConfig::anatomy, reps * 2);
-  m.invariants = benchOverhead(&ScenarioConfig::checkInvariants, reps * 2);
+  // Back-to-back pairs under the same load, like the pooled-vs-seed
+  // scheduler pair above; extra pairs because a 3% bound needs less noise
+  // than a 15% one.
+  m.anatomy = benchOverhead(&ScenarioConfig::anatomy, reps * 4 + 1);
+  m.invariants = benchOverhead(&ScenarioConfig::checkInvariants, reps * 4 + 1);
   m.rssMb = peakRssMb();
   return m;
 }
@@ -293,8 +329,8 @@ std::string toJson(const Metrics& m) {
   for (const auto& [name, b] : {std::pair{"anatomy_overhead", &m.anatomy},
                                 std::pair{"invariants_overhead", &m.invariants}}) {
     os << "  \"" << name << "\": {\n";
-    os << "    \"events_per_sec_on\": " << num(b->onEventsPerSec) << ",\n";
-    os << "    \"events_per_sec_off\": " << num(b->offEventsPerSec) << ",\n";
+    os << "    \"pairs\": " << b->ratios.size() << ",\n";
+    os << "    \"cpu_ratio_median\": " << num(b->medianRatio()) << ",\n";
     os << "    \"overhead_pct\": " << num(b->pct()) << "\n";
     os << "  },\n";
   }
@@ -368,7 +404,7 @@ int compareAgainstBaseline(const Metrics& m, const std::string& path, double tol
   for (const auto& [name, b, budget] :
        {std::tuple{"anatomy_overhead_pct", &m.anatomy, kMaxAnatomyOverheadPct},
         std::tuple{"invariants_overhead_pct", &m.invariants, kMaxInvariantsOverheadPct}}) {
-    if (b->offEventsPerSec <= 0.0 || b->onEventsPerSec <= 0.0) continue;
+    if (b->ratios.empty()) continue;
     const double pct = b->pct();
     const bool over = pct > budget;
     std::printf("  %-34s budget   %9.2f%%  current   %+9.2f%%%s\n", name, budget, pct,

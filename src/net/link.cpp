@@ -1,5 +1,6 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -17,6 +18,29 @@ Time Link::transmissionTime(const Packet& p) const {
   return Time::seconds(static_cast<double>(p.sizeBytes) * 8.0 / cfg_.bandwidthBps);
 }
 
+void Link::PacketRing::push(Packet&& p, std::size_t limit) {
+  if (size_ == cap_) {
+    const std::size_t cap = std::min(std::max<std::size_t>(2 * cap_, 4), limit);
+    auto buf = std::make_unique<Packet[]>(cap);
+    for (std::size_t i = 0; i < size_; ++i) buf[i] = std::move(buf_[(head_ + i) % cap_]);
+    buf_ = std::move(buf);
+    cap_ = cap;
+    head_ = 0;
+  }
+  std::size_t tail = head_ + size_;
+  if (tail >= cap_) tail -= cap_;
+  buf_[tail] = std::move(p);
+  ++size_;
+}
+
+Packet Link::PacketRing::pop() {
+  assert(size_ > 0);
+  Packet p = std::move(buf_[head_]);
+  if (++head_ == cap_) head_ = 0;
+  --size_;
+  return p;
+}
+
 void Link::send(NodeId from, Packet&& p) {
   auto& sched = net_.scheduler();
   if (!up_) {
@@ -29,7 +53,7 @@ void Link::send(NodeId from, Packet&& p) {
     net_.notifyDrop(sched.now(), from, p, DropReason::QueueOverflow);
     return;
   }
-  d.queue.push_back(std::move(p));
+  d.queue.push(std::move(p), cfg_.queueCapacity);
   if (!d.transmitting) startTransmission(dir);
 }
 
@@ -37,8 +61,7 @@ void Link::startTransmission(int dir) {
   auto& d = dirs_[dir];
   assert(!d.queue.empty());
   d.transmitting = true;
-  Packet p = std::move(d.queue.front());
-  d.queue.pop_front();
+  Packet p = d.queue.pop();
 
   auto& sched = net_.scheduler();
   const Time txDone = transmissionTime(p);
@@ -51,7 +74,7 @@ void Link::startTransmission(int dir) {
   }
   // Serialization completes first; then the bits propagate. If the link
   // fails in between, the packet is lost (epoch check).
-  sched.scheduleAfter(txDone, EventKind::LinkDelivery, [this, dir, epoch, p = std::move(p)]() mutable {
+  auto serialized = [this, dir, epoch, p = std::move(p)]() mutable {
     auto& d2 = dirs_[dir];
     d2.transmitting = false;
     if (up_ && epoch == epoch_) {
@@ -68,8 +91,7 @@ void Link::startTransmission(int dir) {
       if (p.kind == PacketKind::Control && ctrlDelay_ > Time::zero()) {
         prop = prop + ctrlDelay_;
       }
-      net_.scheduler().scheduleAfter(prop, EventKind::LinkDelivery,
-                                     [this, to, from, epoch, p2 = std::move(p)]() mutable {
+      auto arrived = [this, to, from, epoch, p2 = std::move(p)]() mutable {
         if (up_ && epoch == epoch_) {
           const bool ctrl = p2.kind == PacketKind::Control;
           // Loss/corruption are decided at arrival, after the wire survived
@@ -95,7 +117,11 @@ void Link::startTransmission(int dir) {
         } else {
           net_.notifyDrop(net_.scheduler().now(), from, p2, DropReason::InFlightCut);
         }
-      });
+      };
+      // Every data-plane hop schedules this closure and the one around it;
+      // a heap cell for either would cost an allocation per hop.
+      static_assert(EventCallback::storesInline<decltype(arrived)>);
+      net_.scheduler().scheduleAfter(prop, EventKind::LinkDelivery, std::move(arrived));
     } else {
       net_.notifyDrop(net_.scheduler().now(), receiverOf(dir) == b_ ? a_ : b_, p,
                       DropReason::InFlightCut);
@@ -104,7 +130,9 @@ void Link::startTransmission(int dir) {
     // the link may have failed and recovered while we were serializing, in
     // which case fresh packets may already be waiting in the queue.
     if (up_ && !d2.queue.empty()) startTransmission(dir);
-  });
+  };
+  static_assert(EventCallback::storesInline<decltype(serialized)>);
+  sched.scheduleAfter(txDone, EventKind::LinkDelivery, std::move(serialized));
 }
 
 void Link::fail() {
@@ -117,10 +145,9 @@ void Link::fail() {
   for (int dir = 0; dir < 2; ++dir) {
     auto& d = dirs_[dir];
     const NodeId from = dir == 0 ? a_ : b_;
-    for (auto& p : d.queue) {
-      net_.notifyDrop(sched.now(), from, p, DropReason::InFlightCut);
+    while (!d.queue.empty()) {
+      net_.notifyDrop(sched.now(), from, d.queue.pop(), DropReason::InFlightCut);
     }
-    d.queue.clear();
   }
   // Both attached nodes detect the failure after the detection delay
   // (paper §5: "detected by the two nodes attached to it within 50 ms") —

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <memory>
 
 #include "net/packet.hpp"
 #include "net/types.hpp"
@@ -76,8 +76,30 @@ class Link {
   void setDetectDelay(Time d);
 
  private:
+  /// Drop-tail FIFO storage: a ring that starts empty, doubles when full
+  /// up to the link's queue capacity and never shrinks while the link
+  /// lives, so a steady flow enqueues and dequeues without allocating and
+  /// an idle direction costs no buffer at all.
+  class PacketRing {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+
+    /// Append `p`; the caller has checked size() < `limit`.
+    void push(Packet&& p, std::size_t limit);
+
+    /// Remove and return the oldest packet.
+    Packet pop();
+
+   private:
+    std::unique_ptr<Packet[]> buf_;
+    std::size_t cap_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   struct Direction {
-    std::deque<Packet> queue;
+    PacketRing queue;
     bool transmitting = false;
   };
 

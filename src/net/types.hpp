@@ -37,6 +37,6 @@ enum class DropReason {
   return "?";
 }
 
-enum class PacketKind { Data, Control };
+enum class PacketKind : std::uint8_t { Data, Control };
 
 }  // namespace rcsim

@@ -13,7 +13,9 @@ std::uint32_t Scheduler::acquireSlot() {
     return s;
   }
   if (usedSlots_ == chunks_.size() * kChunkSlots) {
-    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    // Default-initialized: a slot's callback storage is written only when
+    // an event is placed there.
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
   }
   assert(usedSlots_ <= kSlotMask && "event pool exceeded 2^24 concurrent events");
   return usedSlots_++;
@@ -57,8 +59,7 @@ void Scheduler::run(Time horizon) {
     // Wall-clock watchdog: a cheap thread-local check every 4096 events, so
     // a replica stuck in an event storm still surfaces as a Timeout.
     if ((executed_ & 0xFFF) == 0) watchdog::poll();
-    s.cb();
-    s.cb.reset();
+    s.cb.run();
     freeSlots_.push_back(static_cast<std::uint32_t>(top.key & kSlotMask));
   }
   // Advance the clock to the horizon unless stopped early: remaining events

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,12 +49,27 @@ inline constexpr int kEventKindCount = 7;
 /// scheduler's pooled event slot — no per-event heap allocation on the hot
 /// path; larger ones fall back to a single heap cell.
 ///
+/// kInlineBytes is the size of Link's two delivery closures (an 80-byte
+/// Packet plus the link, direction/endpoints and epoch), the largest
+/// per-packet callables; link.cpp asserts that both stay inline. With the
+/// one manager pointer that makes 112 bytes, so a scheduler slot (key,
+/// kind, callback) is exactly two cache lines, and a small callable shares
+/// the first one with the slot's key. The storage is pointer-aligned to
+/// keep that size; a callable that needs more alignment goes to the heap.
+///
 /// Slots never relocate (the pool is chunked, see Scheduler), so the
 /// callable is pinned: constructed once via emplace(), invoked in place,
-/// destroyed via reset(). No move machinery is needed or provided.
+/// destroyed via reset() or by run(). No move machinery is needed or
+/// provided.
 class EventCallback {
  public:
-  static constexpr std::size_t kInlineBytes = 48;
+  static constexpr std::size_t kInlineBytes = 104;
+
+  /// Whether emplace() stores a callable of type F inline (no heap cell).
+  template <typename F>
+  static constexpr bool storesInline = sizeof(F) <= kInlineBytes &&
+                                       alignof(F) <= alignof(void*) &&
+                                       std::is_nothrow_move_constructible_v<F>;
 
   EventCallback() = default;
   EventCallback(const EventCallback&) = delete;
@@ -65,34 +81,45 @@ class EventCallback {
     requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   void emplace(F&& f) {
     using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (storesInline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); };
-      destroy_ = [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); };
+      manage_ = [](void* s, Op op) {
+        Fn* fn = std::launder(reinterpret_cast<Fn*>(s));
+        if (op == Op::Run) (*fn)();
+        fn->~Fn();
+      };
     } else {
       *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      invoke_ = [](void* s) { (**std::launder(reinterpret_cast<Fn**>(s)))(); };
-      destroy_ = [](void* s) noexcept { delete *std::launder(reinterpret_cast<Fn**>(s)); };
+      manage_ = [](void* s, Op op) {
+        Fn* fn = *std::launder(reinterpret_cast<Fn**>(s));
+        if (op == Op::Run) (*fn)();
+        delete fn;
+      };
     }
   }
 
-  [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
+  [[nodiscard]] explicit operator bool() const { return manage_ != nullptr; }
 
-  void operator()() { invoke_(storage_); }
+  /// Invoke the callable once, then destroy it: one indirect call per
+  /// event. If the callable throws, it stays owned and reset() (or the
+  /// destructor) destroys it.
+  void run() {
+    manage_(storage_, Op::Run);
+    manage_ = nullptr;
+  }
 
   void reset() {
-    if (destroy_ != nullptr) {
-      destroy_(storage_);
-      invoke_ = nullptr;
-      destroy_ = nullptr;
+    if (manage_ != nullptr) {
+      manage_(storage_, Op::Destroy);
+      manage_ = nullptr;
     }
   }
 
  private:
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) noexcept = nullptr;
+  enum class Op : std::uint8_t { Run, Destroy };
+
+  void (*manage_)(void*, Op) = nullptr;
+  alignas(void*) unsigned char storage_[kInlineBytes];
 };
 
 /// Opaque handle returned by Scheduler::schedule*, usable for cancellation.
@@ -105,7 +132,9 @@ struct EventId {
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events scheduled for the same timestamp fire in FIFO order (stable by
-/// insertion sequence), which keeps protocol runs deterministic.
+/// sequence number), which keeps protocol runs deterministic. A reserved
+/// series (reserveSeries) takes its numbers when it is reserved, so its
+/// events order as if they had all been scheduled at that moment.
 ///
 /// Storage is a chunked slab of pooled slots (callback + liveness key)
 /// indexed by a min-heap of plain 16-byte (time, key) records, where key
@@ -139,21 +168,40 @@ class Scheduler {
     requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   EventId scheduleAt(Time at, EventKind kind, F&& f) {
     if (at < now_) at = now_;
-    const std::uint32_t slot = acquireSlot();
-    Slot& s = slotRef(slot);
-    s.cb.emplace(std::forward<F>(f));
-    s.kind = static_cast<std::uint8_t>(kind);
-    KindStats& ks = kindStats_[static_cast<std::size_t>(kind)];
-    ++ks.scheduled;
-    ++ks.delayHisto[delayBucket(at - now_)];
-    // The key is unique for the scheduler's lifetime (sequence in the high
-    // bits), so a recycled slot can never satisfy a stale handle or an
-    // orphaned heap record.
-    const std::uint64_t key = (nextSeq_++ << kSlotBits) | slot;
-    s.key = key;
-    queue_.push(HeapItem{static_cast<std::uint64_t>(at.ns()), key});
-    ++live_;
-    return EventId{key};
+    countScheduled(kind, at);
+    return push(at, nextSeq_++, kind, std::forward<F>(f));
+  }
+
+  /// Reserve the next `n` sequence numbers at now() for a series of `kind`
+  /// events that the caller schedules later, one at a time, with
+  /// scheduleReserved(); returns the first number. `nextAt` is called n
+  /// times and yields the series' instants in order. Each instant is
+  /// counted here exactly as scheduleAt(at, kind, ...) would count it
+  /// (scheduledEvents(), kindStats().scheduled, the delay histogram), and
+  /// each event keeps its reserved, older sequence number, so a series
+  /// fires and counts exactly like n up-front scheduleAt calls while
+  /// holding one pool slot at a time instead of n.
+  template <typename NextAt>
+    requires(std::is_invocable_r_v<Time, NextAt&>)
+  std::uint64_t reserveSeries(EventKind kind, std::uint64_t n, NextAt&& nextAt) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const Time at = nextAt();
+      countScheduled(kind, at < now_ ? now_ : at);
+    }
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+  }
+
+  /// Schedule `f` at `at` (clamped to now) under `seq`, a number handed out
+  /// by reserveSeries() for the same `at` and `kind`. It was counted at
+  /// reservation; each reserved number must be scheduled at most once.
+  template <typename F>
+    requires(std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+  EventId scheduleReserved(Time at, std::uint64_t seq, EventKind kind, F&& f) {
+    assert(seq != 0 && seq < nextSeq_ && "sequence number was never reserved");
+    if (at < now_) at = now_;
+    return push(at, seq, kind, std::forward<F>(f));
   }
 
   /// Schedule `f` after `delay` from now (negative delays clamp to now).
@@ -193,7 +241,8 @@ class Scheduler {
   /// Total events executed so far (for perf accounting).
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
 
-  /// Total events ever scheduled (sequence numbers start at 1).
+  /// Total events ever scheduled, reserved series included (sequence
+  /// numbers start at 1).
   [[nodiscard]] std::uint64_t scheduledEvents() const { return nextSeq_ - 1; }
 
   /// Total events cancelled while still pending.
@@ -234,11 +283,14 @@ class Scheduler {
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
 
-  struct Slot {
-    EventCallback cb;
+  /// Cache-line aligned, key first: the run loop's key check and a small
+  /// callback's invocation touch one line.
+  struct alignas(64) Slot {
     std::uint64_t key = 0;  ///< Key of the live occupant; 0 when free.
     std::uint8_t kind = 0;  ///< EventKind of the occupant (profiling only).
+    EventCallback cb;
   };
+  static_assert(sizeof(Slot) == 128, "a pooled slot should span exactly two cache lines");
 
   struct HeapItem {
     std::uint64_t atNs = 0;  ///< Event time; never negative, stored unsigned.
@@ -310,6 +362,29 @@ class Scheduler {
   }
 
   std::uint32_t acquireSlot();
+
+  void countScheduled(EventKind kind, Time at) {
+    KindStats& ks = kindStats_[static_cast<std::size_t>(kind)];
+    ++ks.scheduled;
+    ++ks.delayHisto[delayBucket(at - now_)];
+  }
+
+  /// Store `f` in a pooled slot and queue it at `at` under `seq`.
+  template <typename F>
+  EventId push(Time at, std::uint64_t seq, EventKind kind, F&& f) {
+    const std::uint32_t slot = acquireSlot();
+    Slot& s = slotRef(slot);
+    s.cb.emplace(std::forward<F>(f));
+    s.kind = static_cast<std::uint8_t>(kind);
+    // The key is unique for the scheduler's lifetime (sequence in the high
+    // bits), so a recycled slot can never satisfy a stale handle or an
+    // orphaned heap record.
+    const std::uint64_t key = (seq << kSlotBits) | slot;
+    s.key = key;
+    queue_.push(HeapItem{static_cast<std::uint64_t>(at.ns()), key});
+    ++live_;
+    return EventId{key};
+  }
 
   EventHeap queue_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;

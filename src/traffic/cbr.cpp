@@ -12,10 +12,29 @@ CbrSource::CbrSource(Network& net, Config cfg) : net_{net}, cfg_{cfg} {}
 
 void CbrSource::install() {
   auto& sched = net_.scheduler();
-  const double periodSec = 1.0 / cfg_.packetsPerSecond;
-  for (Time t = cfg_.start; t < cfg_.stop; t += Time::seconds(periodSec)) {
-    sched.scheduleAt(t, EventKind::Traffic, [this] { emitPacket(); });
-  }
+  period_ = Time::seconds(1.0 / cfg_.packetsPerSecond);
+  std::uint64_t n = 0;
+  for (Time t = cfg_.start; t < cfg_.stop; t += period_) ++n;
+  if (n == 0) return;
+  Time t = cfg_.start;
+  nextSeq_ = sched.reserveSeries(EventKind::Traffic, n, [&t, this] {
+    const Time at = t;
+    t += period_;
+    return at;
+  });
+  nextAt_ = cfg_.start;
+  ticksLeft_ = n;
+  armTick();
+}
+
+void CbrSource::armTick() {
+  net_.scheduler().scheduleReserved(nextAt_, nextSeq_, EventKind::Traffic, [this] {
+    emitPacket();
+    if (--ticksLeft_ == 0) return;
+    nextAt_ += period_;
+    ++nextSeq_;
+    armTick();
+  });
 }
 
 void CbrSource::emitPacket() {

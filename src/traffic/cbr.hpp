@@ -27,18 +27,26 @@ class CbrSource {
 
   CbrSource(Network& net, Config cfg);
 
-  /// Schedule all emissions. (Emissions are pre-scheduled rather than
-  /// self-rescheduling so the source needs no per-run teardown.)
+  /// Reserve one scheduler sequence number per emission, then keep exactly
+  /// one tick pending: each tick arms the next under its reserved number.
+  /// Ties with other events therefore break exactly as if every emission
+  /// had been scheduled here up front, while the event pool holds one slot
+  /// per source instead of one per packet.
   void install();
 
   [[nodiscard]] std::uint64_t packetsSent() const { return sent_; }
 
  private:
+  void armTick();
   void emitPacket();
 
   Network& net_;
   Config cfg_;
   std::uint64_t sent_ = 0;
+  Time period_;
+  Time nextAt_;                  ///< Instant of the pending tick.
+  std::uint64_t nextSeq_ = 0;    ///< Its reserved sequence number.
+  std::uint64_t ticksLeft_ = 0;  ///< Ticks not yet fired, the pending one included.
 };
 
 }  // namespace rcsim

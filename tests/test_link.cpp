@@ -4,6 +4,7 @@
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -167,6 +168,48 @@ TEST_F(LinkFixture, PeerOfAndConnects) {
   EXPECT_TRUE(link->connects(a, b));
   EXPECT_TRUE(link->connects(b, a));
   EXPECT_FALSE(link->connects(a, a));
+}
+
+// The queue is a ring grown on demand. Packets must leave in arrival order
+// after the ring has wrapped and then grown while wrapped, and a failure
+// drops what is queued oldest first, before the packets on the wire.
+TEST(LinkQueue, FifoThroughWrapGrowthAndFailure) {
+  Scheduler sched;
+  Network net{sched, Rng{1}};
+  const NodeId a = net.addNode();
+  const NodeId b = net.addNode();
+  LinkConfig cfg;
+  cfg.bandwidthBps = 8e6;  // 1000 B packet -> 1 ms serialization
+  cfg.propDelay = 1_ms;
+  cfg.queueCapacity = 8;
+  Link& link = net.addLink(a, b, cfg);
+  net.finalize();
+  std::vector<std::int64_t> delivered;
+  std::vector<std::int64_t> dropped;
+  testutil::CallbackSink sink{
+      obs::kindBit(obs::TraceKind::Deliver) | obs::kindBit(obs::TraceKind::Drop),
+      [&](const obs::TraceEvent& ev) {
+        (ev.kind == obs::TraceKind::Deliver ? delivered : dropped).push_back(ev.x);
+      }};
+  net.trace().addSink(&sink);
+  auto send = [&] {
+    Packet p;
+    p.id = net.nextPacketId();
+    p.src = a;
+    p.dst = b;
+    p.ttl = 64;
+    p.sizeBytes = 1000;
+    link.send(a, std::move(p));
+  };
+
+  for (int i = 0; i < 3; ++i) send();  // 1 in service, 2 and 3 queued
+  sched.run(Time::microseconds(2500));  // 3 in service, ring empty mid-buffer
+  for (int i = 0; i < 6; ++i) send();  // 4-7 wrap the ring, 8 grows it, 9 follows
+  sched.run(Time::microseconds(5500));  // 4 delivered, 5 on the wire, 6 in service
+  link.fail();
+  sched.run();
+  EXPECT_EQ(delivered, (std::vector<std::int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(dropped, (std::vector<std::int64_t>{7, 8, 9, 5, 6}));
 }
 
 }  // namespace

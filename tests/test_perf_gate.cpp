@@ -32,7 +32,8 @@ constexpr const char* kGoldenBench = R"json({
     "RIP": 21.61,
     "DBF": 27.51,
     "BGP": 30.36,
-    "BGP3": 30.35
+    "BGP3": 30.35,
+    "dataplane_flows": 84.12
   },
   "topology_ms": {
     "mesh100x100_build": 7.41,
@@ -41,13 +42,13 @@ constexpr const char* kGoldenBench = R"json({
     "mesh100x100_converge": 141000.0
   },
   "anatomy_overhead": {
-    "events_per_sec_on": 5200000.50,
-    "events_per_sec_off": 5300000.25,
+    "pairs": 13,
+    "cpu_ratio_median": 1.0188,
     "overhead_pct": 1.88
   },
   "invariants_overhead": {
-    "events_per_sec_on": 5100000.00,
-    "events_per_sec_off": 5300000.25,
+    "pairs": 13,
+    "cpu_ratio_median": 1.0377,
     "overhead_pct": 3.77
   },
   "rss_mb": 9.40
@@ -62,7 +63,7 @@ TEST(PerfGate, GoldenBenchJsonParses) {
   EXPECT_DOUBLE_EQ(sched.numberAt("seed_schedule_run_events_per_sec"), 3886599.17);
   EXPECT_DOUBLE_EQ(sched.numberAt("pooled_speedup_vs_seed"), 1.35);
   const JsonValue& scen = v.at("scenario_ms");
-  for (const char* proto : {"RIP", "DBF", "BGP", "BGP3"}) {
+  for (const char* proto : {"RIP", "DBF", "BGP", "BGP3", "dataplane_flows"}) {
     ASSERT_TRUE(scen.has(proto)) << proto;
     EXPECT_GT(scen.numberAt(proto), 0.0) << proto;
   }
@@ -72,16 +73,17 @@ TEST(PerfGate, GoldenBenchJsonParses) {
     ASSERT_TRUE(topo.has(row)) << row;
     EXPECT_GT(topo.numberAt(row), 0.0) << row;
   }
-  // The anatomy-profiler cost row: on/off events-per-sec plus the derived
-  // percentage the gate holds to an absolute <= 3% budget.
+  // The anatomy-profiler cost row: the number of on/off pairs, the median
+  // of their thread-CPU-time ratios, and the derived percentage the gate
+  // holds to an absolute <= 3% budget.
   const JsonValue& anat = v.at("anatomy_overhead");
-  EXPECT_DOUBLE_EQ(anat.numberAt("events_per_sec_on"), 5200000.50);
-  EXPECT_DOUBLE_EQ(anat.numberAt("events_per_sec_off"), 5300000.25);
+  EXPECT_DOUBLE_EQ(anat.numberAt("pairs"), 13.0);
+  EXPECT_DOUBLE_EQ(anat.numberAt("cpu_ratio_median"), 1.0188);
   EXPECT_DOUBLE_EQ(anat.numberAt("overhead_pct"), 1.88);
   // The invariant checker's row, same layout, held to <= 10%.
   const JsonValue& inv = v.at("invariants_overhead");
-  EXPECT_DOUBLE_EQ(inv.numberAt("events_per_sec_on"), 5100000.00);
-  EXPECT_DOUBLE_EQ(inv.numberAt("events_per_sec_off"), 5300000.25);
+  EXPECT_DOUBLE_EQ(inv.numberAt("pairs"), 13.0);
+  EXPECT_DOUBLE_EQ(inv.numberAt("cpu_ratio_median"), 1.0377);
   EXPECT_DOUBLE_EQ(inv.numberAt("overhead_pct"), 3.77);
   EXPECT_DOUBLE_EQ(v.numberAt("rss_mb"), 9.40);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "core/experiment.hpp"
+#include "core/options.hpp"
 #include "core/runner.hpp"
 
 namespace rcsim {
@@ -150,6 +153,34 @@ TEST(Scenario, LinkStateProtocolRunsEndToEnd) {
   const RunResult r = runScenario(quickConfig(ProtocolKind::LinkState, 4, 3));
   EXPECT_GT(r.data.delivered, r.sent - 10);
   EXPECT_TRUE(r.finalPathShortest);
+}
+
+// A fault-plan failure that lands exactly on a CBR tick instant fires after
+// the tick, because the source reserved the tick's sequence number at
+// install, before the injector scheduled the failure. The tick's packet is
+// already on the wire (an in-flight cut), not refused by a down link. The
+// counters are the ones the simulator gave when every tick was scheduled
+// up front; a failure one nanosecond earlier changes them.
+TEST(Scenario, FailureOnTickInstantFiresAfterTheTick) {
+  auto run = [](const std::string& plan) {
+    ScenarioConfig cfg;
+    for (const char* opt : {"topology=inline", "inline.nodes=6",
+                            "inline.edges=0-1,1-2,2-3,3-4,4-5,5-0", "pin.src=0", "pin.dst=2",
+                            "no-failure=1"}) {
+      applyOptionString(cfg, opt);
+    }
+    applyOption(cfg, "fault-plan", plan);
+    return runScenario(cfg);
+  };
+  const RunResult tie = run("400:fail:0-1");  // 390 s + 200 ticks of 50 ms
+  EXPECT_EQ(tie.sent, 3200u);
+  EXPECT_EQ(tie.data.delivered, 2789u);
+  EXPECT_EQ(tie.data.dropNoRoute, 409u);
+  EXPECT_EQ(tie.data.dropLinkDown, 1u);
+  EXPECT_EQ(tie.data.dropInFlightCut, 1u);
+  const RunResult before = run("399.999999999:fail:0-1");
+  EXPECT_EQ(before.data.dropNoRoute, 410u);
+  EXPECT_EQ(before.data.dropInFlightCut, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 namespace rcsim {
@@ -189,6 +191,118 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   s.run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(s.executedEvents(), 20000u);
+}
+
+// One tick workload, scheduled either as kTicks up-front scheduleAt calls
+// or as a reserved series that keeps one tick pending and arms the next
+// from inside each tick. Around the ticks sit events that collide with
+// tick instants: one scheduled before the ticks, one right after them, and
+// two scheduled from inside a callback during the run.
+struct TickRun {
+  std::vector<int> order;  ///< tick index, or a negative id for the others
+  std::size_t pendingAfterInstall = 0;
+  std::uint64_t scheduled = 0;
+  std::uint64_t executed = 0;
+  Scheduler::KindStats traffic;
+  Scheduler::KindStats generic;
+};
+
+TickRun runTicks(bool reserved, Time installAt) {
+  constexpr int kTicks = 64;
+  const Time start = 5_ms;
+  const Time period = 10_ms;
+  Scheduler s;
+  TickRun r;
+  s.run(installAt);  // ticks before installAt clamp to it, like scheduleAt
+  s.scheduleAt(start + period * 3, [&] { r.order.push_back(-1); });
+  Time next = start;
+  int i = 0;
+  std::uint64_t firstSeq = 0;
+  std::function<void()> arm = [&] {
+    s.scheduleReserved(next, firstSeq + static_cast<std::uint64_t>(i), EventKind::Traffic, [&] {
+      r.order.push_back(i);
+      if (++i == kTicks) return;
+      next += period;
+      arm();
+    });
+  };
+  if (reserved) {
+    Time t = start;
+    firstSeq = s.reserveSeries(EventKind::Traffic, kTicks, [&t, period] {
+      const Time at = t;
+      t += period;
+      return at;
+    });
+    arm();
+  } else {
+    int k = 0;
+    for (Time t = start; k < kTicks; t += period, ++k) {
+      s.scheduleAt(t, EventKind::Traffic, [&r, k] { r.order.push_back(k); });
+    }
+  }
+  s.scheduleAt(start + period * 5, [&] { r.order.push_back(-2); });
+  s.scheduleAt(start + period, [&] {
+    r.order.push_back(-3);
+    s.scheduleAt(start + period * 7, [&] { r.order.push_back(-4); });
+    s.scheduleAfter(Time::zero(), [&] { r.order.push_back(-5); });
+  });
+  r.pendingAfterInstall = s.pendingEvents();
+  s.run();
+  r.scheduled = s.scheduledEvents();
+  r.executed = s.executedEvents();
+  r.traffic = s.kindStats(EventKind::Traffic);
+  r.generic = s.kindStats(EventKind::Generic);
+  return r;
+}
+
+TEST(Scheduler, ReservedSeriesFiresInUpFrontOrder) {
+  for (const Time installAt : {Time::zero(), 27_ms}) {
+    const TickRun upFront = runTicks(false, installAt);
+    const TickRun series = runTicks(true, installAt);
+    EXPECT_EQ(series.order, upFront.order) << installAt;
+    ASSERT_EQ(upFront.order.size(), 69u);
+    // Ties break by sequence number: -1 was scheduled before the ticks,
+    // -2 after them, -4 and -5 during the run.
+    auto pos = [&](int id) {
+      return std::find(upFront.order.begin(), upFront.order.end(), id) - upFront.order.begin();
+    };
+    EXPECT_LT(pos(-1), pos(3));
+    EXPECT_GT(pos(-2), pos(5));
+    EXPECT_GT(pos(-4), pos(7));
+    EXPECT_GT(pos(-5), pos(1));
+    // The series holds one pending tick instead of all of them.
+    EXPECT_EQ(upFront.pendingAfterInstall - series.pendingAfterInstall, 63u);
+  }
+}
+
+TEST(Scheduler, ReservedSeriesCountsLikeUpFrontSchedules) {
+  for (const Time installAt : {Time::zero(), 27_ms}) {
+    const TickRun upFront = runTicks(false, installAt);
+    const TickRun series = runTicks(true, installAt);
+    EXPECT_EQ(series.scheduled, upFront.scheduled);
+    EXPECT_EQ(series.executed, upFront.executed);
+    EXPECT_EQ(series.traffic.scheduled, upFront.traffic.scheduled);
+    EXPECT_EQ(series.traffic.scheduled, 64u);
+    EXPECT_EQ(series.traffic.executed, upFront.traffic.executed);
+    EXPECT_EQ(series.traffic.delayHisto, upFront.traffic.delayHisto);
+    EXPECT_EQ(series.generic.scheduled, upFront.generic.scheduled);
+    EXPECT_EQ(series.generic.delayHisto, upFront.generic.delayHisto);
+  }
+  // Clamped instants land in bucket 0 (zero delay) at reservation time.
+  EXPECT_EQ(runTicks(true, 27_ms).traffic.delayHisto[0], 3u);
+}
+
+TEST(Scheduler, ReservedSeriesCanBeCancelled) {
+  Scheduler s;
+  const std::uint64_t seq = s.reserveSeries(EventKind::Traffic, 2, [] { return 1_sec; });
+  int fired = 0;
+  const EventId first = s.scheduleReserved(1_sec, seq, EventKind::Traffic, [&] { ++fired; });
+  s.scheduleReserved(1_sec, seq + 1, EventKind::Traffic, [&] { fired += 10; });
+  s.cancel(first);
+  s.run();
+  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(s.scheduledEvents(), 2u);
+  EXPECT_EQ(s.cancelledEvents(), 1u);
 }
 
 }  // namespace
