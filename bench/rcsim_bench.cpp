@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
       const std::string v = value("--watchdog=");
       // parseWallLimitSeconds also rejects "nan"/"inf", which strtod
       // parses and a plain <= 0 guard lets through.
-      watchdogSec = rcsim::exp::parseWallLimitSeconds(v.c_str());
+      watchdogSec = rcsim::cli::parseWallLimitSeconds(v.c_str());
       if (watchdogSec <= 0.0) {
         std::fprintf(stderr, "rcsim_bench: --watchdog got '%s', expected finite seconds > 0\n",
                      v.c_str());
@@ -343,6 +343,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rcsim_bench: cannot open journal: %s\n", e.what());
       return 2;
     }
+  }
+  // A malformed RCSIM_RUNS or RCSIM_THREADS is a usage error, reported
+  // before any worker or watcher thread starts.
+  try {
+    if (threads <= 0) threads = rcsim::defaultThreadCount();
+    (void)rcsim::defaultRunCount(1);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "rcsim_bench: %s\n", e.what());
+    return 2;
   }
   rcsim::exp::JobOptions jobOptions;
   jobOptions.retry.maxAttempts = retries + 1;

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cfg.seed));
   std::printf("sender %d (row 0), receiver %d (row %d)\n", sc.sender(), sc.receiver(),
               cfg.mesh.rows - 1);
-  std::printf("failed link: (%d,%d) at t=+0.000s\n\n", sc.failedLink()->endpointA(),
-              sc.failedLink()->endpointB());
+  const Link* cut = sc.faultInjector()->pathCuts().front();
+  std::printf("failed link: (%d,%d) at t=+0.000s\n\n", cut->endpointA(), cut->endpointB());
 
   std::printf("forwarding path storyboard (times relative to failure):\n");
   for (const auto& e : sc.stats().pathWalker().events()) {

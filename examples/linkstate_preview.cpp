@@ -5,31 +5,59 @@
 //
 // Usage: linkstate_preview [runs=10]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "core/cli.hpp"
 #include "core/report.hpp"
 #include "core/runner.hpp"
+#include "exp/executor.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcsim;
 
-  const int runs = argc > 1 ? std::atoi(argv[1]) : defaultRunCount(10);
+  int runs = 0;
+  int threads = 0;
+  try {
+    runs = argc > 1 ? cli::parsePositiveInt(argv[1], "runs") : defaultRunCount(10);
+    threads = defaultThreadCount();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "linkstate_preview: %s\n", e.what());
+    return 2;
+  }
   const std::vector<int> degrees{3, 4, 6, 8};
   const std::vector<ProtocolKind> kinds{ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp3,
                                         ProtocolKind::LinkState};
+
+  // One cell per (protocol, degree), all replicas on one executor pool.
+  exp::ExperimentSpec spec;
+  spec.name = "linkstate_preview";
+  for (const ProtocolKind kind : kinds) {
+    for (const int d : degrees) {
+      exp::CellSpec cell;
+      cell.id = std::string{toString(kind)} + "/degree=" + std::to_string(d);
+      cell.config.protocol = kind;
+      cell.config.mesh.degree = d;
+      spec.cells.push_back(std::move(cell));
+    }
+  }
+  exp::SweepExecutor executor{threads};
+  const exp::ExperimentResult result = executor.execute(spec, runs);
 
   std::vector<std::string> labels;
   std::vector<std::vector<double>> drops(kinds.size());
   std::vector<std::vector<double>> conv(kinds.size());
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     labels.emplace_back(toString(kinds[k]));
-    for (const int d : degrees) {
-      ScenarioConfig cfg;
-      cfg.protocol = kinds[k];
-      cfg.mesh.degree = d;
-      const auto agg = Aggregate::over(runMany(cfg, runs));
-      drops[k].push_back(agg.dropsNoRoute + agg.dropsTtl);
-      conv[k].push_back(agg.routingConvergenceSec);
+    for (std::size_t d = 0; d < degrees.size(); ++d) {
+      const exp::CellResult& cell = result.cells[k * degrees.size() + d];
+      if (cell.failed()) {
+        std::fprintf(stderr, "linkstate_preview: %s: %s\n",
+                     spec.cells[k * degrees.size() + d].id.c_str(),
+                     cell.failures.front().error.c_str());
+        return 1;
+      }
+      drops[k].push_back(cell.agg.dropsNoRoute + cell.agg.dropsTtl);
+      conv[k].push_back(cell.agg.routingConvergenceSec);
     }
   }
 

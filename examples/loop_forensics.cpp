@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
     std::printf("%s degree %d seed %llu: transient loop(s) after the failure\n",
                 toString(kind), degree, static_cast<unsigned long long>(seed));
     std::printf("failed link (%d,%d); TTL-expired packets: %llu\n\n",
-                sc.failedLink()->endpointA(), sc.failedLink()->endpointB(),
+                sc.faultInjector()->pathCuts().front()->endpointA(),
+                sc.faultInjector()->pathCuts().front()->endpointB(),
                 static_cast<unsigned long long>(sc.stats().dataAfterWatermark().dropTtl));
     for (std::size_t i = 0; i < events.size(); ++i) {
       const auto& e = events[i];

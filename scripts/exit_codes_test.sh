@@ -39,6 +39,9 @@ expect 2 $? "unknown experiment name"
 "$BENCH" --only=headline_table --watchdog=nan >/dev/null 2>&1
 expect 2 $? "--watchdog=nan rejected"
 
+RCSIM_THREADS=abc "$BENCH" --only=headline_table >/dev/null 2>&1
+expect 2 $? "RCSIM_THREADS=abc rejected"
+
 "$BENCH" --only=headline_table --watchdog=inf >/dev/null 2>&1
 expect 2 $? "--watchdog=inf rejected"
 
@@ -156,12 +159,28 @@ if [ -n "$RCSIM" ]; then
   "$RCSIM" --no-such-option >/dev/null 2>&1
   expect 2 $? "rcsim: unknown option"
 
+  # A time past Time's range (or NaN) is a usage error, not UB.
+  "$RCSIM" fail-at=nan >/dev/null 2>&1
+  expect 2 $? "rcsim: fail-at=nan"
+
+  RCSIM_RUNS=10x "$RCSIM" >/dev/null 2>&1
+  expect 2 $? "rcsim: RCSIM_RUNS=10x"
+
   # A plan naming a link the 7x7 mesh lacks throws inside the replica;
   # rcsim must report it and exit 1, not abort.
   "$RCSIM" fault-plan=400:fail:0-99 --runs=1 >/dev/null 2>"$WORK/rcsim.err"
   expect 1 $? "rcsim: dangling fault-plan link"
   if ! grep -q '^error: ' "$WORK/rcsim.err"; then
     echo "FAIL rcsim replica error not reported as 'error: <what>'"
+    fails=$((fails + 1))
+  fi
+
+  # Likewise a path failure of a flow the scenario lacks.
+  "$RCSIM" flows=1 no-failure=1 fault-plan=400:fail:path/3 --runs=1 >/dev/null \
+    2>"$WORK/rcsim.err"
+  expect 1 $? "rcsim: path failure of a missing flow"
+  if ! grep -q '^error: ' "$WORK/rcsim.err"; then
+    echo "FAIL rcsim missing-flow error not reported as 'error: <what>'"
     fails=$((fails + 1))
   fi
 

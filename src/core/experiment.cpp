@@ -42,11 +42,9 @@ RunResult summarizeRun(Scenario& scenario) {
       r.transportSessionResets += tc.sessionResets;
     }
   }
-  if (const auto* inj = scenario.faultInjector()) {
-    const auto tc = inj->lostTransportCounters();
-    r.transportRetransmissions += tc.retransmissions;
-    r.transportSessionResets += tc.sessionResets;
-  }
+  const fault::FaultInjector& faults = *scenario.faultInjector();
+  r.transportRetransmissions += faults.lostTransportCounters().retransmissions;
+  r.transportSessionResets += faults.lostTransportCounters().sessionResets;
 
   r.routingConvergenceSec = stats.routeLog().convergenceSeconds();
   r.routeChangesAfterFailure = stats.routeLog().changesAfterWatermark();
@@ -65,8 +63,8 @@ RunResult summarizeRun(Scenario& scenario) {
     r.forwardingConvergenceSec = (lastChange - watermark).toSeconds();
   }
 
-  r.preFailurePathShortest = scenario.preFailurePathShortest();
-  r.preFailurePathHops = scenario.preFailurePathHops();
+  r.preFailurePathShortest = faults.preFailurePathShortest();
+  r.preFailurePathHops = faults.preFailurePathHops();
   {
     bool loop = false;
     bool blackhole = false;

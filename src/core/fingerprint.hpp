@@ -21,8 +21,8 @@ namespace rcsim {
 [[nodiscard]] std::string runResultDigest(const RunResult& r);
 
 /// Same idea for an Aggregate: every scalar and both series at full
-/// precision. Lets a test assert that two aggregation paths (e.g. the
-/// per-cell runMany barrier and the flattened SweepExecutor queue) produce
+/// precision. Lets a test assert that two aggregation paths (e.g. a serial
+/// runScenario loop and the flattened SweepExecutor queue) produce
 /// bit-identical statistics.
 [[nodiscard]] std::string aggregateFingerprint(const Aggregate& a);
 [[nodiscard]] std::string aggregateDigest(const Aggregate& a);

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "core/digest.hpp"
+
 namespace rcsim {
 namespace {
 
@@ -33,6 +35,19 @@ long parseInt(const std::string& key, const std::string& value) {
     throw std::invalid_argument("option " + key + ": trailing junk in '" + value + "'");
   }
   return v;
+}
+
+/// A time-valued option: `value` in seconds, or in 1/unitsPerSecond
+/// seconds (1e3 for the -ms keys). NaN, infinities and anything past
+/// +-1e9 s are rejected, because Time::seconds casts to int64 nanoseconds
+/// and that cast is undefined beyond about +-9.2e9 s.
+Time parseTime(const std::string& key, const std::string& value, double unitsPerSecond = 1.0) {
+  const double sec = parseDouble(key, value) / unitsPerSecond;
+  if (!(std::fabs(sec) <= 1e9)) {
+    throw std::invalid_argument("option " + key + ": '" + value +
+                                "' is not a finite time within +-1e9 s");
+  }
+  return Time::seconds(sec);
 }
 
 bool parseBool(const std::string& key, const std::string& value) {
@@ -149,24 +164,23 @@ void applyOption(ScenarioConfig& cfg, const std::string& key, const std::string&
   } else if (key == "window") {
     cfg.tcpWindow = static_cast<int>(parseInt(key, value));
   } else if (key == "traffic-start") {
-    cfg.trafficStart = Time::seconds(parseDouble(key, value));
+    cfg.trafficStart = parseTime(key, value);
   } else if (key == "traffic-stop") {
-    cfg.trafficStop = Time::seconds(parseDouble(key, value));
+    cfg.trafficStop = parseTime(key, value);
   } else if (key == "failures") {
     cfg.failureCount = static_cast<int>(parseInt(key, value));
   } else if (key == "fail-at") {
-    cfg.failAt = Time::seconds(parseDouble(key, value));
+    cfg.failAt = parseTime(key, value);
   } else if (key == "fail-spacing") {
-    cfg.failureSpacing = Time::seconds(parseDouble(key, value));
+    cfg.failureSpacing = parseTime(key, value);
   } else if (key == "repair-after") {
-    // "inf" (what describeOptions emits for never-repaired links) must not
-    // reach Time::seconds — casting an infinite double to int64 is UB.
-    const double sec = parseDouble(key, value);
-    cfg.repairAfter = std::isfinite(sec) ? Time::seconds(sec) : Time::infinity();
+    // "inf" is what describeOptions emits for never-repaired links.
+    cfg.repairAfter = parseDouble(key, value) == HUGE_VAL ? Time::infinity()
+                                                          : parseTime(key, value);
   } else if (key == "no-failure") {
     cfg.injectFailure = !parseBool(key, value);
   } else if (key == "end-at") {
-    cfg.endAt = Time::seconds(parseDouble(key, value));
+    cfg.endAt = parseTime(key, value);
   } else if (key == "trace-packets") {
     cfg.tracePackets = parseBool(key, value);
   } else if (key == "ecmp") {
@@ -182,25 +196,25 @@ void applyOption(ScenarioConfig& cfg, const std::string& key, const std::string&
   } else if (key == "bandwidth") {
     cfg.link.bandwidthBps = parseDouble(key, value);
   } else if (key == "prop-delay-ms") {
-    cfg.link.propDelay = Time::seconds(parseDouble(key, value) / 1e3);
+    cfg.link.propDelay = parseTime(key, value, 1e3);
   } else if (key == "queue") {
     cfg.link.queueCapacity = static_cast<std::size_t>(parseInt(key, value));
   } else if (key == "detect-ms") {
-    cfg.link.detectDelay = Time::seconds(parseDouble(key, value) / 1e3);
+    cfg.link.detectDelay = parseTime(key, value, 1e3);
     // Hello-based failure detection (docs/failure-detection.md).
   } else if (key == "hello.enabled") {
     cfg.hello.enabled = parseBool(key, value);
   } else if (key == "hello.interval") {
-    cfg.hello.interval = Time::seconds(parseDouble(key, value));
+    cfg.hello.interval = parseTime(key, value);
   } else if (key == "hello.dead") {
-    cfg.hello.dead = Time::seconds(parseDouble(key, value));
+    cfg.hello.dead = parseTime(key, value);
   } else if (key == "hello.jitter") {
     cfg.hello.jitter = parseDouble(key, value);
     // Distance-vector knobs.
   } else if (key == "dv.periodic") {
-    cfg.protoCfg.dv.periodicInterval = Time::seconds(parseDouble(key, value));
+    cfg.protoCfg.dv.periodicInterval = parseTime(key, value);
   } else if (key == "dv.timeout") {
-    cfg.protoCfg.dv.timeout = Time::seconds(parseDouble(key, value));
+    cfg.protoCfg.dv.timeout = parseTime(key, value);
   } else if (key == "dv.damp-min") {
     cfg.protoCfg.dv.triggerDampMinSec = parseDouble(key, value);
   } else if (key == "dv.damp-max") {
@@ -249,19 +263,28 @@ void applyOption(ScenarioConfig& cfg, const std::string& key, const std::string&
     cfg.protoCfg.bgp.rfdReuseThreshold = parseDouble(key, value);
     // Link-state knobs.
   } else if (key == "ls.spf-delay-ms") {
-    cfg.protoCfg.ls.spfDelay = Time::seconds(parseDouble(key, value) / 1e3);
+    cfg.protoCfg.ls.spfDelay = parseTime(key, value, 1e3);
   } else if (key == "ls.refresh") {
-    cfg.protoCfg.ls.refreshInterval = Time::seconds(parseDouble(key, value));
+    cfg.protoCfg.ls.refreshInterval = parseTime(key, value);
   } else if (key == "ls.spf-oracle") {
     cfg.protoCfg.ls.spfOracle = parseBool(key, value);
     // DUAL knobs.
   } else if (key == "dual.sia-timeout") {
-    cfg.protoCfg.dual.siaTimeout = Time::seconds(parseDouble(key, value));
+    cfg.protoCfg.dual.siaTimeout = parseTime(key, value);
   } else if (key == "dual.max-distance") {
     cfg.protoCfg.dual.maxDistance = static_cast<int>(parseInt(key, value));
   } else {
     throw std::invalid_argument("unknown option: " + key);
   }
+}
+
+std::string scenarioDigest(const ScenarioConfig& cfg) {
+  std::string joined;
+  for (const auto& opt : describeOptions(cfg)) {
+    joined += opt;
+    joined += '\n';
+  }
+  return fnv1aHexDigest(joined);
 }
 
 void applyOptionString(ScenarioConfig& cfg, const std::string& arg) {

@@ -34,6 +34,10 @@ namespace rcsim {
 /// Throws std::invalid_argument on unknown keys or malformed values.
 void applyOption(ScenarioConfig& cfg, const std::string& key, const std::string& value);
 
+/// Canonical digest of a config: FNV-1a over the newline-joined
+/// describeOptions rendering. Keys journal records and the fuzzer's corpus.
+[[nodiscard]] std::string scenarioDigest(const ScenarioConfig& cfg);
+
 /// Split "key=value" and apply. Accepts an optional leading "--".
 void applyOptionString(ScenarioConfig& cfg, const std::string& arg);
 

@@ -1,54 +1,14 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
-namespace rcsim {
+#include "core/cli.hpp"
 
-std::vector<RunResult> runMany(const ScenarioConfig& base, int runs, std::uint64_t startSeed,
-                               int threads) {
-  if (threads <= 0) threads = defaultThreadCount();
-  threads = std::min(threads, runs);
-  std::vector<RunResult> results(static_cast<std::size_t>(runs));
-  std::atomic<int> next{0};
-  // The first replica to throw stops every worker from taking new work;
-  // its exception is rethrown once the pool has joined, instead of
-  // escaping a worker thread into std::terminate.
-  std::exception_ptr firstError;
-  std::mutex errorMu;
-  auto worker = [&] {
-    while (true) {
-      const int i = next.fetch_add(1);
-      if (i >= runs) return;
-      ScenarioConfig cfg = base;
-      cfg.seed = startSeed + static_cast<std::uint64_t>(i);
-      try {
-        results[static_cast<std::size_t>(i)] = runScenario(cfg);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock{errorMu};
-        if (!firstError) firstError = std::current_exception();
-        next.store(runs);
-        return;
-      }
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (firstError) std::rethrow_exception(firstError);
-  return results;
-}
+namespace rcsim {
 
 Aggregate Aggregate::over(const std::vector<RunResult>& results) {
   Aggregate a;
@@ -110,21 +70,19 @@ Aggregate Aggregate::over(const std::vector<RunResult>& results) {
   return a;
 }
 
+int parseEnvCount(const char* var, const char* text, int fallback) {
+  if (text == nullptr || *text == '\0') return fallback;
+  return cli::parsePositiveInt(text, var);
+}
+
 int defaultRunCount(int fallback) {
-  if (const char* env = std::getenv("RCSIM_RUNS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return fallback;
+  return parseEnvCount("RCSIM_RUNS", std::getenv("RCSIM_RUNS"), fallback);
 }
 
 int defaultThreadCount() {
-  if (const char* env = std::getenv("RCSIM_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 4 : static_cast<int>(hc);
+  return parseEnvCount("RCSIM_THREADS", std::getenv("RCSIM_THREADS"),
+                       hc == 0 ? 4 : static_cast<int>(hc));
 }
 
 }  // namespace rcsim

@@ -6,12 +6,6 @@
 
 namespace rcsim {
 
-/// Run `runs` independent replicas of `base` (seeds startSeed, startSeed+1,
-/// ...) across a thread pool. Each replica owns its whole world, so runs
-/// are embarrassingly parallel and bit-reproducible per seed.
-[[nodiscard]] std::vector<RunResult> runMany(const ScenarioConfig& base, int runs,
-                                             std::uint64_t startSeed = 1, int threads = 0);
-
 /// Mean over replicas of the headline scalars, plus element-wise mean
 /// time series — what the paper plots ("average ... over 100 runs").
 struct Aggregate {
@@ -32,6 +26,11 @@ struct Aggregate {
 
   [[nodiscard]] static Aggregate over(const std::vector<RunResult>& results);
 };
+
+/// A count from environment variable `var` holding `text`: null or empty
+/// text gives `fallback`; anything else must be a positive integer, or
+/// std::invalid_argument names the variable ("RCSIM_RUNS got '10x', ...").
+[[nodiscard]] int parseEnvCount(const char* var, const char* text, int fallback);
 
 /// Number of replicas benches run by default; honours env RCSIM_RUNS.
 [[nodiscard]] int defaultRunCount(int fallback);

@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
@@ -17,35 +18,61 @@ bool envInvariantsEnabled() {
 
 }  // namespace
 
+Topology scenarioTopology(const ScenarioConfig& cfg) {
+  Topology topo;
+  switch (cfg.topology) {
+    case TopologyKind::RegularMesh:
+      topo = makeRegularMesh(cfg.mesh);
+      break;
+    case TopologyKind::File:
+      topo = loadTopologyFile(cfg.file.path).topo;
+      break;
+    case TopologyKind::Named:
+      topo = namedTopology(cfg.named.graph).topo;
+      break;
+    case TopologyKind::Random: {
+      RandomGraphSpec rnd = cfg.random;
+      rnd.seed = cfg.seed;  // one seed drives the whole run
+      topo = makeRandomTopology(rnd);
+      break;
+    }
+    case TopologyKind::Inline:
+      topo.nodeCount = cfg.inlineTopo.nodes;
+      topo.edges = cfg.inlineTopo.edges;
+      topo.normalize();  // validates ids, self-loops, duplicates
+      break;
+  }
+  return topo;
+}
+
+fault::FaultPlan ScenarioConfig::effectiveFaultPlan() const {
+  fault::FaultPlan plan;
+  if (injectFailure) {
+    for (int k = 0; k < failureCount; ++k) {
+      fault::FaultEvent ev;
+      ev.at = failAt + failureSpacing * k;
+      ev.pathFlow = k % std::max(flows, 1);
+      ev.repair = repairAfter;
+      plan.events.push_back(ev);
+    }
+  }
+  plan.events.insert(plan.events.end(), faultPlan.events.begin(), faultPlan.events.end());
+  return plan;
+}
+
+Time ScenarioConfig::failureWatermark() const {
+  Time w = Time::infinity();
+  for (const auto& ev : effectiveFaultPlan().events) w = std::min(w, ev.at);
+  return w;
+}
+
 Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
   if (cfg_.flows < 1) throw std::invalid_argument("scenario needs at least one flow");
   if (cfg_.injectFailure && cfg_.failureCount < 1) {
     throw std::invalid_argument("injectFailure requires failureCount >= 1");
   }
 
-  Topology topo;
-  switch (cfg_.topology) {
-    case TopologyKind::RegularMesh:
-      topo = makeRegularMesh(cfg_.mesh);
-      break;
-    case TopologyKind::File:
-      topo = loadTopologyFile(cfg_.file.path).topo;
-      break;
-    case TopologyKind::Named:
-      topo = namedTopology(cfg_.named.graph).topo;
-      break;
-    case TopologyKind::Random: {
-      RandomGraphSpec rnd = cfg_.random;
-      rnd.seed = cfg_.seed;  // one seed drives the whole run
-      topo = makeRandomTopology(rnd);
-      break;
-    }
-    case TopologyKind::Inline:
-      topo.nodeCount = cfg_.inlineTopo.nodes;
-      topo.edges = cfg_.inlineTopo.edges;
-      topo.normalize();  // validates ids, self-loops, duplicates
-      break;
-  }
+  const Topology topo = scenarioTopology(cfg_);
   // A flow needs two distinct endpoints; with fewer nodes the endpoint
   // draw below would call uniformInt with an empty range (UB). Inline
   // topologies (hand-written or minimizer-shrunk) can legitimately get
@@ -127,21 +154,20 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
     net_->trace().addSink(checker_.get());
   }
 
-  // Declarative fault schedule. The factory lets the injector rebuild a
-  // crashed node's protocol without knowing which protocol the run uses;
-  // the plan's `dst` token names flow 0's receiver.
-  if (!cfg_.faultPlan.empty()) {
-    injector_ = std::make_unique<fault::FaultInjector>(
-        *net_, cfg_.faultPlan,
-        [this](Node& node) { return makeProtocol(cfg_.protocol, node, cfg_.protoCfg); },
-        flows_[0].receiver, cfg_.seed);
-    // Route-table snapshot just before the first plan event fires. The
-    // callback is synchronous (no scheduler event), so event counts — and
-    // with them every pinned digest — stay untouched.
-    injector_->setOnFirstFault([this] {
-      if (fibDigestBefore_.empty()) fibDigestBefore_ = captureFibSnapshot();
-    });
-  }
+  // Every fault, the paper's path failures included, runs through one
+  // injector. The factory lets it rebuild a crashed node's protocol without
+  // knowing which protocol the run uses; path failures draw their link
+  // from the run RNG.
+  std::vector<fault::FaultInjector::Flow> ends;
+  for (const auto& flow : flows_) ends.push_back({flow.sender, flow.receiver});
+  injector_ = std::make_unique<fault::FaultInjector>(
+      *net_, cfg_.effectiveFaultPlan(),
+      [this](Node& node) { return makeProtocol(cfg_.protocol, node, cfg_.protoCfg); },
+      std::move(ends), rng_, cfg_.seed);
+  // Route-table snapshot just before the first plan event fires. The
+  // callback is synchronous (no scheduler event), so event counts — and
+  // with them every pinned digest — stay untouched.
+  injector_->setOnFirstFault([this] { fibDigestBefore_ = captureFibSnapshot(); });
 
   std::int32_t flowId = 0;
   for (auto& flow : flows_) {
@@ -189,13 +215,7 @@ void Scenario::run() {
     if (flow.cbr) flow.cbr->install();
     if (flow.tcp) flow.tcp->install();
   }
-  if (cfg_.injectFailure) {
-    for (int k = 0; k < cfg_.failureCount; ++k) {
-      sched_.scheduleAt(cfg_.failAt + cfg_.failureSpacing * k, EventKind::Fault,
-                        [this, k] { injectFailure(k); });
-    }
-  }
-  if (injector_) injector_->install();
+  injector_->install();
   sched_.run(cfg_.endAt);
   fibDigestAfter_ = captureFibSnapshot();
   net_->trace().emit(sched_.now(), obs::TraceKind::SimSummary, kInvalidNode, kInvalidNode,
@@ -210,57 +230,6 @@ void Scenario::run() {
       // so a sweep records the cell as failed instead of a silent bad row.
       throw std::runtime_error("invariant check failed:\n" + checker_->summary());
     }
-  }
-}
-
-Link* Scenario::pickLinkOnPath(NodeId src, NodeId dst) {
-  bool loop = false;
-  bool blackhole = false;
-  std::vector<NodeId> path = net_->fibWalk(src, dst, &loop, &blackhole);
-  if (loop || blackhole || path.size() < 2) {
-    // Degenerate (mid-convergence) state; fall back to the true shortest
-    // live path, if any.
-    path = net_->shortestPathLive(src, dst);
-  }
-  if (path.size() < 2) return nullptr;
-  // Avoid re-failing a dead hop: collect live links along the path.
-  std::vector<Link*> candidates;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    Link* l = net_->findLink(path[i], path[i + 1]);
-    if (l != nullptr && l->isUp()) candidates.push_back(l);
-  }
-  if (candidates.empty()) return nullptr;
-  const auto pick = rng_.uniformInt(0, static_cast<std::int64_t>(candidates.size()) - 1);
-  return candidates[static_cast<std::size_t>(pick)];
-}
-
-void Scenario::injectFailure(int index) {
-  // Failure k targets flow (k mod flows)'s then-current forwarding path —
-  // the first one reproduces the paper's single failure, later ones give
-  // the overlapping-failures extension.
-  const auto& flow = flows_[static_cast<std::size_t>(index) % flows_.size()];
-
-  if (index == 0) {
-    bool loop = false;
-    bool blackhole = false;
-    const auto path = net_->fibWalk(flow.sender, flow.receiver, &loop, &blackhole);
-    if (!loop && !blackhole && path.size() >= 2) {
-      preFailHops_ = static_cast<int>(path.size()) - 1;
-      preFailShortest_ = preFailHops_ == net_->shortestDistLive(flow.sender, flow.receiver);
-    }
-  }
-
-  Link* link = pickLinkOnPath(flow.sender, flow.receiver);
-  if (link == nullptr && index == 0) {
-    throw std::runtime_error("no usable sender->receiver path at failure time");
-  }
-  if (link == nullptr) return;  // overlapping failure found nothing to cut
-  // First-disruption snapshot (a fault-plan event may already have taken it).
-  if (fibDigestBefore_.empty()) fibDigestBefore_ = captureFibSnapshot();
-  failedLinks_.push_back(link);
-  link->fail();
-  if (cfg_.repairAfter < Time::infinity()) {
-    sched_.scheduleAfter(cfg_.repairAfter, EventKind::Fault, [link] { link->recover(); });
   }
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -95,7 +94,8 @@ struct ScenarioConfig {
   // Failures. The first failure hits flow 0's forwarding path at failAt;
   // each further failure hits the *then-current* path of the next flow
   // (round-robin) `failureSpacing` later — overlapping convergence events,
-  // the paper's "multiple failures" extension.
+  // the paper's "multiple failures" extension. These fields are shorthand
+  // for `path` events in the fault plan (see effectiveFaultPlan()).
   bool injectFailure = true;
   int failureCount = 1;
   Time failAt = Time::seconds(400.0);
@@ -115,8 +115,8 @@ struct ScenarioConfig {
   bool ecmp = false;
 
   /// Declarative fault schedule layered on top of (or instead of) the
-  /// path-targeted failure above — crashes, partitions, impairments
-  /// (fault/plan.hpp). Empty = no injected faults.
+  /// path-targeted failures above — crashes, partitions, impairments
+  /// (fault/plan.hpp). Empty = no faults beyond those.
   fault::FaultPlan faultPlan{};
 
   /// Attach the runtime invariant checker; violations make run() throw.
@@ -132,16 +132,21 @@ struct ScenarioConfig {
 
   ProtocolConfig protoCfg{};
 
-  /// When the first disruption hits — the path-targeted failure or the
-  /// earliest fault-plan event, whichever comes first. This is the
-  /// watermark the convergence/after-failure statistics measure from
-  /// (infinity when the run is fault-free).
-  [[nodiscard]] Time failureWatermark() const {
-    Time w = injectFailure ? failAt : Time::infinity();
-    for (const auto& ev : faultPlan.events) w = std::min(w, ev.at);
-    return w;
-  }
+  /// The plan the run executes: when injectFailure is set, failure k
+  /// (k < failureCount) becomes `<failAt + k * failureSpacing>:fail:path/<k
+  /// mod flows>` with repairAfter as its repair delay, ahead of faultPlan's
+  /// own events.
+  [[nodiscard]] fault::FaultPlan effectiveFaultPlan() const;
+
+  /// When the first disruption hits: the earliest event of
+  /// effectiveFaultPlan(). This is the watermark the convergence/after-
+  /// failure statistics measure from (infinity when the run is fault-free).
+  [[nodiscard]] Time failureWatermark() const;
 };
+
+/// The topology a config builds (the Random family draws from cfg.seed).
+/// Throws std::invalid_argument on an invalid inline edge list.
+[[nodiscard]] Topology scenarioTopology(const ScenarioConfig& cfg);
 
 /// The wired-up world for one run. Owns the scheduler, network and
 /// instrumentation; build with the constructor, then run().
@@ -156,7 +161,8 @@ class Scenario {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] Network& network() { return *net_; }
   [[nodiscard]] StatsCollector& stats() { return *stats_; }
-  /// Null unless the config carries a fault plan.
+  /// Runs effectiveFaultPlan(), the path failures included (their cut
+  /// links and pre-failure path stats live there); present in every scenario.
   [[nodiscard]] fault::FaultInjector* faultInjector() { return injector_.get(); }
   /// Null unless invariant checking is enabled.
   [[nodiscard]] fault::InvariantChecker* invariantChecker() { return checker_.get(); }
@@ -182,9 +188,8 @@ class Scenario {
 
   /// Per-node route-table digests around the first fault (docs/
   /// failure-detection.md). `before` is captured synchronously at the
-  /// instant the first disruption fires (path-targeted failure or first
-  /// fault-plan event); `after` at end of run. Empty until captured —
-  /// fault-free runs only ever fill `after`.
+  /// instant the first fault-plan event fires; `after` at end of run.
+  /// Empty until captured — fault-free runs only ever fill `after`.
   [[nodiscard]] const std::string& fibDigestBefore() const { return fibDigestBefore_; }
   [[nodiscard]] const std::string& fibDigestAfter() const { return fibDigestAfter_; }
 
@@ -207,21 +212,7 @@ class Scenario {
   /// Total data packets originated across all flows.
   [[nodiscard]] std::uint64_t packetsSent() const;
 
-  /// Links failed so far, in injection order (empty until failures fire).
-  [[nodiscard]] const std::vector<Link*>& failedLinks() const { return failedLinks_; }
-  [[nodiscard]] Link* failedLink() const {
-    return failedLinks_.empty() ? nullptr : failedLinks_.front();
-  }
-
-  /// Was flow 0's forwarding path the true shortest path just before the
-  /// first failure?
-  [[nodiscard]] bool preFailurePathShortest() const { return preFailShortest_; }
-  [[nodiscard]] int preFailurePathHops() const { return preFailHops_; }
-
  private:
-  void injectFailure(int index);
-  [[nodiscard]] Link* pickLinkOnPath(NodeId src, NodeId dst);
-
   ScenarioConfig cfg_;
   Rng rng_;
   Scheduler sched_;
@@ -233,9 +224,6 @@ class Scenario {
   std::unique_ptr<obs::ConvergenceAnalyzer> anatomy_;
   obs::TraceSink* externalSink_ = nullptr;
   std::vector<Flow> flows_;
-  std::vector<Link*> failedLinks_;
-  bool preFailShortest_ = false;
-  int preFailHops_ = 0;
   std::string fibDigestBefore_;
   std::string fibDigestAfter_;
 };

@@ -27,16 +27,7 @@ double nowSec() {
 }
 
 double envReplicaWallLimit() {
-  return parseWallLimitSeconds(std::getenv("RCSIM_REPLICA_WATCHDOG_SEC"));
-}
-
-std::string configDigestOf(const ScenarioConfig& cfg) {
-  std::string joined;
-  for (const auto& opt : describeOptions(cfg)) {
-    joined += opt;
-    joined += '\n';
-  }
-  return fnv1aHexDigest(joined);
+  return cli::parseWallLimitSeconds(std::getenv("RCSIM_REPLICA_WATCHDOG_SEC"));
 }
 
 }  // namespace
@@ -67,7 +58,7 @@ class SweepExecutor::Job {
     // lookup; only computed when this job is wired for durability.
     if (opts_.journal != nullptr || opts_.resume != nullptr) {
       cellDigest_.reserve(spec.cells.size());
-      for (const auto& cs : spec.cells) cellDigest_.push_back(configDigestOf(cs.config));
+      for (const auto& cs : spec.cells) cellDigest_.push_back(scenarioDigest(cs.config));
     }
     if (opts_.resume != nullptr) {
       prefilled_.resize(spec.cells.size());
@@ -342,8 +333,8 @@ void SweepExecutor::runReplica(Job& job, std::size_t item) {
   if (job.cellLeft_[cell].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
   // Last replica of this cell: fold in seed order (the vector is already
-  // seed-ordered, so this matches serial runMany bit for bit) and drop
-  // the raw replicas. If any replica was quarantined, the cell becomes a
+  // seed-ordered, so this matches a serial runScenario loop bit for bit)
+  // and drop the raw replicas. If any replica was quarantined, the cell becomes a
   // failure report instead — a partial aggregate would silently skew the
   // means. Retried-then-successful replicas keep their error trail in
   // `retries` without failing the cell.

@@ -1,17 +1,18 @@
 #pragma once
 
-// Barrier-free sweep execution. Historically every (protocol, degree) cell
-// was its own runMany() fork/join: threads were capped at the cell's
-// replica count and every cell ended in a join barrier, so a 56-cell
-// figure sweep spent most of its wall time waiting on each cell's slowest
-// replica. The SweepExecutor instead flattens ALL (cell, seed) replicas of
+// Barrier-free sweep execution, and the simulator's only replica runner.
+// Historically every (protocol, degree) cell was its own fork/join:
+// threads were capped at the cell's replica count and every cell ended in
+// a join barrier, so a 56-cell figure sweep spent most of its wall time
+// waiting on each cell's slowest replica. The SweepExecutor instead flattens ALL (cell, seed) replicas of
 // an experiment into one work queue drained by a persistent thread pool —
 // the only synchronization point is experiment completion.
 //
 // Determinism: replica (cell c, index i) always simulates seed
 // cell.startSeed + i and lands in results[c][i], so per-cell aggregates
-// are bit-identical to serial per-cell runMany() no matter how the pool
-// interleaves cells (verified by test_exp.cpp against core/fingerprint).
+// are bit-identical to a serial runScenario loop over each cell's seeds no
+// matter how the pool interleaves cells (verified by test_exp.cpp against
+// core/fingerprint).
 
 #include <atomic>
 #include <condition_variable>
@@ -30,10 +31,6 @@ namespace rcsim::exp {
 
 class JournalWriter;
 class JournalIndex;
-
-/// Wall-clock limit parsing moved to core/cli.hpp (shared by every CLI);
-/// re-exported here so existing exp:: callers keep compiling.
-using rcsim::cli::parseWallLimitSeconds;
 
 /// Retry policy for failed replicas: a replica gets `maxAttempts` total
 /// tries with exponential backoff between them (backoffBaseSec doubling

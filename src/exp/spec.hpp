@@ -21,14 +21,15 @@ namespace rcsim::exp {
 /// One grid cell: a fully-specified scenario replicated over seeds
 /// startSeed .. startSeed+runs-1, each through runScenario. Faults beyond
 /// the path-targeted failure belong in config.faultPlan, so the config
-/// alone reproduces the cell. `run` is a test seam only (synthetic or
-/// throwing replicas for executor tests); no registered cell sets it.
+/// alone reproduces the cell. `run` replaces runScenario for callers that
+/// keep each replica's RunResult (rcsim's CSV rows) and for executor tests
+/// (synthetic or throwing replicas); no registered cell sets it.
 struct CellSpec {
   std::string id;     ///< unique within the experiment, e.g. "RIP/degree=3"
   std::string label;  ///< short column/row label for console tables
   ScenarioConfig config;
   std::uint64_t startSeed = 1;
-  std::function<RunResult(const ScenarioConfig&)> run;  ///< test seam; empty = runScenario
+  std::function<RunResult(const ScenarioConfig&)> run;  ///< empty = runScenario
 };
 
 /// Exact sums over a cell's replicas for the counters Aggregate does not
@@ -79,7 +80,8 @@ struct ReplicaRetry {
 };
 
 /// Everything one executed cell produced, aggregated. Raw RunResults are
-/// folded in seed order (bit-identical to serial runMany) and released as
+/// folded in seed order (bit-identical to a serial runScenario loop over
+/// the same seeds) and released as
 /// soon as the cell completes, so a 100-replica sweep never holds more
 /// than the in-flight cells' worth of per-second series.
 ///

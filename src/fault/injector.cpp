@@ -6,12 +6,15 @@
 
 namespace rcsim::fault {
 
-FaultInjector::FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory, NodeId dst,
-                             std::uint64_t seed)
+FaultInjector::FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory,
+                             std::vector<Flow> flows, Rng& pathRng, std::uint64_t seed)
     : net_{net},
       plan_{std::move(plan)},
       factory_{std::move(factory)},
+      flows_{std::move(flows)},
+      pathRng_{pathRng},
       churnRng_{seed * 7919 + 13} {
+  const NodeId dst = flows_.empty() ? kInvalidNode : flows_.front().receiver;
   const auto resolve = [dst](NodeId& n) {
     if (n == kFlowDst) n = dst;
   };
@@ -62,21 +65,19 @@ void FaultInjector::apply(const FaultEvent& ev) {
     onFirstFault_ = nullptr;
     cb();
   }
+  if (ev.pathFlow != kNoPathFlow) {
+    failOnPath(ev);
+    return;
+  }
   net_.trace().emit(net_.scheduler().now(), obs::TraceKind::FaultApply, ev.a, ev.b,
                     static_cast<std::int64_t>(ev.kind));
   switch (ev.kind) {
-    case FaultKind::LinkFail: {
-      Link& l = mustFindLink(ev.a, ev.b);
-      if (l.isUp()) ++linkFailures_;
-      l.fail();
+    case FaultKind::LinkFail:
+      failLink(mustFindLink(ev.a, ev.b));
       break;
-    }
-    case FaultKind::LinkRecover: {
-      Link& l = mustFindLink(ev.a, ev.b);
-      if (!l.isUp()) ++linkRecoveries_;
-      l.recover();
+    case FaultKind::LinkRecover:
+      recoverLink(mustFindLink(ev.a, ev.b));
       break;
-    }
     case FaultKind::NodeCrash:
       crash(ev.a);
       break;
@@ -119,6 +120,70 @@ void FaultInjector::apply(const FaultEvent& ev) {
   }
 }
 
+Link* FaultInjector::drawLinkOnPath(NodeId src, NodeId dst) {
+  bool loop = false;
+  bool blackhole = false;
+  std::vector<NodeId> path = net_.fibWalk(src, dst, &loop, &blackhole);
+  if (loop || blackhole || path.size() < 2) {
+    // Degenerate (mid-convergence) state; fall back to the true shortest
+    // live path, if any.
+    path = net_.shortestPathLive(src, dst);
+  }
+  if (path.size() < 2) return nullptr;
+  // Avoid re-failing a dead hop: collect live links along the path.
+  std::vector<Link*> candidates;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    Link* l = net_.findLink(path[i], path[i + 1]);
+    if (l != nullptr && l->isUp()) candidates.push_back(l);
+  }
+  if (candidates.empty()) return nullptr;
+  const auto pick = pathRng_.uniformInt(0, static_cast<std::int64_t>(candidates.size()) - 1);
+  return candidates[static_cast<std::size_t>(pick)];
+}
+
+void FaultInjector::failOnPath(const FaultEvent& ev) {
+  if (static_cast<std::size_t>(ev.pathFlow) >= flows_.size()) {
+    throw std::runtime_error("fault-plan: no flow " + std::to_string(ev.pathFlow) +
+                             " in this scenario");
+  }
+  const Flow& flow = flows_[static_cast<std::size_t>(ev.pathFlow)];
+  if (ev.pathFlow == 0 && !preFailCaptured_) {
+    preFailCaptured_ = true;
+    bool loop = false;
+    bool blackhole = false;
+    const auto path = net_.fibWalk(flow.sender, flow.receiver, &loop, &blackhole);
+    if (!loop && !blackhole && path.size() >= 2) {
+      preFailHops_ = static_cast<int>(path.size()) - 1;
+      preFailShortest_ = preFailHops_ == net_.shortestDistLive(flow.sender, flow.receiver);
+    }
+  }
+  Link* link = drawLinkOnPath(flow.sender, flow.receiver);
+  if (link == nullptr) {
+    if (pathCuts_.empty()) {
+      throw std::runtime_error("no usable sender->receiver path at failure time");
+    }
+    return;  // an overlapping failure found nothing to cut
+  }
+  auto& sched = net_.scheduler();
+  net_.trace().emit(sched.now(), obs::TraceKind::FaultApply, link->endpointA(),
+                    link->endpointB(), static_cast<std::int64_t>(ev.kind));
+  pathCuts_.push_back(link);
+  failLink(*link);
+  if (ev.repair < Time::infinity()) {
+    sched.scheduleAfter(ev.repair, EventKind::Fault, [this, link] { recoverLink(*link); });
+  }
+}
+
+void FaultInjector::failLink(Link& l) {
+  if (l.isUp()) ++linkFailures_;
+  l.fail();
+}
+
+void FaultInjector::recoverLink(Link& l) {
+  if (!l.isUp()) ++linkRecoveries_;
+  l.recover();
+}
+
 void FaultInjector::armChurn(const FaultEvent& ev, Link& link, Time notBefore) {
   const Time at = notBefore + Time::seconds(churnRng_.exponential(ev.mtbf));
   if (at >= ev.stop) return;
@@ -130,16 +195,12 @@ void FaultInjector::armChurn(const FaultEvent& ev, Link& link, Time notBefore) {
       armChurn(ev, link, sched.now());
       return;
     }
-    link.fail();
-    ++linkFailures_;
+    failLink(link);
     const Time repairAt = sched.now() + Time::seconds(churnRng_.exponential(ev.mttr));
     sched.scheduleAt(repairAt, EventKind::Fault, [this, &ev, &link, &sched] {
-      // Already recovered by another fault: skip the double recover but
-      // keep the cycle alive.
-      if (!link.isUp()) {
-        link.recover();
-        ++linkRecoveries_;
-      }
+      // Already recovered by another fault: nothing to recover, but the
+      // cycle stays alive.
+      recoverLink(link);
       armChurn(ev, link, sched.now());
     });
   });
@@ -153,18 +214,10 @@ void FaultInjector::flapBurst(const FaultEvent& ev) {
   // someone else already took down (or recovering one independently failed)
   // is a no-op, mirroring the LinkFail/LinkRecover event semantics.
   for (int k = 0; k < ev.count; ++k) {
-    sched.scheduleAfter(Time::seconds(period * k), EventKind::Fault, [this, &l] {
-      if (l.isUp()) {
-        ++linkFailures_;
-        l.fail();
-      }
-    });
-    sched.scheduleAfter(Time::seconds(period * k + period / 2.0), EventKind::Fault, [this, &l] {
-      if (!l.isUp()) {
-        ++linkRecoveries_;
-        l.recover();
-      }
-    });
+    sched.scheduleAfter(Time::seconds(period * k), EventKind::Fault,
+                        [this, &l] { failLink(l); });
+    sched.scheduleAfter(Time::seconds(period * k + period / 2.0), EventKind::Fault,
+                        [this, &l] { recoverLink(l); });
   }
 }
 
@@ -188,8 +241,7 @@ void FaultInjector::crash(NodeId n) {
     Link* l = node.linkTo(nb);
     if (l != nullptr && l->isUp()) {
       took.push_back(l);
-      l->fail();
-      ++linkFailures_;
+      failLink(*l);
     }
   }
   node.clearRoutes();
@@ -201,12 +253,7 @@ void FaultInjector::restart(NodeId n) {
   mustFindNode(n);
   if (downNodes_.count(n) == 0) return;
   Node& node = net_.node(n);
-  for (Link* l : crashTookDown_[n]) {
-    if (!l->isUp()) {
-      l->recover();
-      ++linkRecoveries_;
-    }
-  }
+  for (Link* l : crashTookDown_[n]) recoverLink(*l);
   crashTookDown_.erase(n);
   downNodes_.erase(n);
   if (factory_) {
@@ -231,8 +278,7 @@ void FaultInjector::partition(const std::vector<NodeId>& group) {
     const bool bIn = inside.count(l->endpointB()) != 0;
     if (aIn != bIn && l->isUp()) {
       cut.push_back(l.get());
-      l->fail();
-      ++linkFailures_;
+      failLink(*l);
     }
   }
 }
@@ -240,12 +286,7 @@ void FaultInjector::partition(const std::vector<NodeId>& group) {
 void FaultInjector::heal(const std::vector<NodeId>& group) {
   const auto it = partitionCut_.find(groupKey(group));
   if (it == partitionCut_.end()) return;
-  for (Link* l : it->second) {
-    if (!l->isUp()) {
-      l->recover();
-      ++linkRecoveries_;
-    }
-  }
+  for (Link* l : it->second) recoverLink(*l);
   partitionCut_.erase(it);
 }
 

@@ -28,14 +28,27 @@ namespace rcsim::fault {
 /// times, all drawn from one per-run stream seeded from the scenario seed
 /// — the steady-failure regime the paper's introduction motivates ("faults
 /// of various scale and severity occur frequently", Labovitz et al.).
+///
+/// `path` failures (FaultEvent::pathFlow) are the paper's own failure: a
+/// live link on a flow's then-current forwarding path, drawn from the
+/// scenario's RNG. The run's first path failure must find one (a scenario
+/// whose flow has no path is broken); a later one that finds none is a
+/// no-op that emits nothing.
 class FaultInjector {
  public:
   using ProtocolFactory = std::function<std::unique_ptr<RoutingProtocol>(Node&)>;
 
-  /// `dst` resolves the plan's kFlowDst token (flow 0's receiver); `seed`
-  /// is the scenario seed the churn stream derives from.
-  FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory, NodeId dst,
-                std::uint64_t seed);
+  struct Flow {
+    NodeId sender = kInvalidNode;
+    NodeId receiver = kInvalidNode;
+  };
+
+  /// `flows` are the scenario's traffic endpoints: `path/<k>` events cut
+  /// flow k's path, and flows[0].receiver resolves the kFlowDst token.
+  /// `pathRng` is the scenario's RNG, which path failures draw their link
+  /// from; `seed` is the scenario seed the churn stream derives from.
+  FaultInjector(Network& net, FaultPlan plan, ProtocolFactory factory, std::vector<Flow> flows,
+                Rng& pathRng, std::uint64_t seed);
 
   /// Schedule every plan event on the network's scheduler. Call once,
   /// before Scheduler::run. Malformed references (unknown link/node)
@@ -60,8 +73,25 @@ class FaultInjector {
     return lostTransport_;
   }
 
+  /// Links cut by path failures so far, in the order they failed.
+  [[nodiscard]] const std::vector<Link*>& pathCuts() const { return pathCuts_; }
+
+  /// Flow 0's forwarding path just before its first path failure: its hop
+  /// count and whether it was a live shortest path (0/false when that
+  /// failure has not fired, or the path looped or dead-ended).
+  [[nodiscard]] int preFailurePathHops() const { return preFailHops_; }
+  [[nodiscard]] bool preFailurePathShortest() const { return preFailShortest_; }
+
  private:
   void apply(const FaultEvent& ev);
+  /// A path event: cut a live link on flow ev.pathFlow's current path.
+  void failOnPath(const FaultEvent& ev);
+  /// A live link on src's forwarding path to dst (the live shortest path
+  /// when that walk loops or dead-ends), drawn from pathRng_; null if none.
+  [[nodiscard]] Link* drawLinkOnPath(NodeId src, NodeId dst);
+  /// Fail / recover one link, counting it only if its state changes.
+  void failLink(Link& l);
+  void recoverLink(Link& l);
   void crash(NodeId n);
   void restart(NodeId n);
   void partition(const std::vector<NodeId>& group);
@@ -78,7 +108,13 @@ class FaultInjector {
   Network& net_;
   FaultPlan plan_;
   ProtocolFactory factory_;
+  std::vector<Flow> flows_;
+  Rng& pathRng_;
   Rng churnRng_;
+  bool preFailCaptured_ = false;
+  int preFailHops_ = 0;
+  bool preFailShortest_ = false;
+  std::vector<Link*> pathCuts_;
   std::function<void()> onFirstFault_;
   std::set<NodeId> downNodes_;
   /// Links this injector took down when crashing a node, to recover on

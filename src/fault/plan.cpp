@@ -1,5 +1,6 @@
 #include "fault/plan.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -25,23 +26,15 @@ std::string num(double v) {
   return buf;
 }
 
-/// Same, but for Time fields: round-trip is judged after the nanosecond
-/// quantization, so "460" stays "460" even though toSeconds() of the
-/// stored tick count is not exactly 460.0.
-std::string secs(Time t) {
+/// Same, but for Time fields, in seconds or in 1/unitsPerSecond seconds:
+/// round-trip is judged after the nanosecond quantization, so "460" stays
+/// "460" even though toSeconds() of the stored tick count is not exactly
+/// 460.0.
+std::string secs(Time t, double unitsPerSecond = 1.0) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", t.toSeconds());
-  if (secondsExact(std::strtod(buf, nullptr)) != t) {
-    std::snprintf(buf, sizeof buf, "%.17g", t.toSeconds());
-  }
-  return buf;
-}
-
-std::string millis(Time t) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", t.toSeconds() * 1000.0);
-  if (secondsExact(std::strtod(buf, nullptr) / 1000.0) != t) {
-    std::snprintf(buf, sizeof buf, "%.17g", t.toSeconds() * 1000.0);
+  std::snprintf(buf, sizeof buf, "%g", t.toSeconds() * unitsPerSecond);
+  if (secondsExact(std::strtod(buf, nullptr) / unitsPerSecond) != t) {
+    std::snprintf(buf, sizeof buf, "%.17g", t.toSeconds() * unitsPerSecond);
   }
   return buf;
 }
@@ -50,6 +43,8 @@ std::string millis(Time t) {
   throw std::invalid_argument("fault-plan: bad event '" + event + "': " + why);
 }
 
+/// Any number in a plan: finite and within +-1e9, so every time field
+/// (seconds, or milliseconds) stays far inside Time's int64 nanoseconds.
 double parseNum(const std::string& s, const std::string& event) {
   char* end = nullptr;
   errno = 0;
@@ -57,18 +52,57 @@ double parseNum(const std::string& s, const std::string& event) {
   if (s.empty() || errno != 0 || end == s.c_str() || *end != '\0') {
     bad(event, "expected a number");
   }
+  if (!(std::fabs(v) <= 1e9)) bad(event, "expected a finite number within +-1e9");
   return v;
 }
 
-NodeId parseNode(const std::string& s, const std::string& event) {
-  if (s == "dst") return kFlowDst;
+/// A node id or flow index in [0, 1e6].
+int parseIndex(const std::string& s, const std::string& event, const char* what) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(s.c_str(), &end, 10);
   if (s.empty() || errno != 0 || end == s.c_str() || *end != '\0' || v < 0 || v > 1'000'000L) {
-    bad(event, "expected a node id");
+    bad(event, what);
   }
-  return static_cast<NodeId>(v);
+  return static_cast<int>(v);
+}
+
+NodeId parseNode(const std::string& s, const std::string& event) {
+  if (s == "dst") return kFlowDst;
+  return static_cast<NodeId>(parseIndex(s, event, "expected a node id"));
+}
+
+double parseRate(const std::string& s, const std::string& event) {
+  const double rate = parseNum(s, event);
+  if (rate < 0.0 || rate > 1.0) bad(event, "rate must be in [0, 1]");
+  return rate;
+}
+
+/// A delay >= 0 in seconds, or in 1/unitsPerSecond seconds.
+Time parseDelay(const std::string& s, const std::string& event, double unitsPerSecond = 1.0) {
+  const Time t = secondsExact(parseNum(s, event) / unitsPerSecond);
+  if (t < Time::zero()) bad(event, "a delay must be >= 0");
+  return t;
+}
+
+FaultKind parseKind(const std::string& s, const std::string& event) {
+  for (int k = 0; k <= static_cast<int>(FaultKind::Churn); ++k) {
+    if (s == toString(static_cast<FaultKind>(k))) return static_cast<FaultKind>(k);
+  }
+  bad(event, "unknown kind");
+}
+
+/// "path" (flow 0) or "path/<k>" into ev.pathFlow; false for any other target.
+bool parsePathTarget(const std::string& s, FaultEvent& ev, const std::string& event) {
+  if (s.rfind("path", 0) != 0) return false;
+  if (s == "path") {
+    ev.pathFlow = 0;
+  } else if (s[4] == '/') {
+    ev.pathFlow = parseIndex(s.substr(5), event, "expected 'path/<flow index>'");
+  } else {
+    bad(event, "expected 'path' or 'path/<flow index>'");
+  }
+  return true;
 }
 
 /// "A-B" into (a, b); "*" sets allLinks for the impairment kinds.
@@ -87,6 +121,8 @@ void parseEndpoints(const std::string& s, FaultEvent& ev, bool starOk,
 std::string node(NodeId n) { return n == kFlowDst ? "dst" : std::to_string(n); }
 
 std::string link(const FaultEvent& ev) {
+  if (ev.pathFlow == 0) return "path";
+  if (ev.pathFlow > 0) return "path/" + std::to_string(ev.pathFlow);
   return ev.allLinks ? "*" : node(ev.a) + "-" + node(ev.b);
 }
 
@@ -103,53 +139,36 @@ FaultEvent parseEvent(const std::string& text) {
   if (fields.size() < 3) bad(text, "expected '<sec>:<kind>:<args>'");
   FaultEvent ev;
   ev.at = secondsExact(parseNum(fields[0], text));
+  if (ev.at < Time::zero()) bad(text, "time must be >= 0 s");
   const std::string& kind = fields[1];
+  ev.kind = parseKind(kind, text);
   const auto want = [&](std::size_t n) {
     if (fields.size() != n) bad(text, "wrong number of ':' fields for this kind");
   };
-  if (kind == "fail" || kind == "recover") {
+  if (kind == "fail" && parsePathTarget(fields[2], ev, text)) {
+    want(std::min<std::size_t>(fields.size(), 4));  // an optional repair delay
+    if (fields.size() == 4) ev.repair = parseDelay(fields[3], text);
+  } else if (kind == "fail" || kind == "recover") {
     want(3);
-    ev.kind = kind == "fail" ? FaultKind::LinkFail : FaultKind::LinkRecover;
     parseEndpoints(fields[2], ev, /*starOk=*/false, text);
   } else if (kind == "crash" || kind == "restart") {
     want(3);
-    ev.kind = kind == "crash" ? FaultKind::NodeCrash : FaultKind::NodeRestart;
     ev.a = parseNode(fields[2], text);
-  } else if (kind == "loss" || kind == "corrupt") {
+  } else if (kind == "loss" || kind == "corrupt" || kind == "ctrl-loss" || kind == "ctrl-dup") {
     want(4);
-    ev.kind = kind == "loss" ? FaultKind::LinkLoss : FaultKind::LinkCorrupt;
     parseEndpoints(fields[2], ev, /*starOk=*/true, text);
-    ev.rate = parseNum(fields[3], text);
-    if (ev.rate < 0.0 || ev.rate > 1.0) bad(text, "rate must be in [0, 1]");
+    ev.rate = parseRate(fields[3], text);
   } else if (kind == "reorder") {
     want(5);
-    ev.kind = FaultKind::LinkReorder;
     parseEndpoints(fields[2], ev, /*starOk=*/true, text);
-    ev.rate = parseNum(fields[3], text);
-    if (ev.rate < 0.0 || ev.rate > 1.0) bad(text, "rate must be in [0, 1]");
-    ev.jitter = secondsExact(parseNum(fields[4], text) / 1000.0);
-    if (ev.jitter < Time::zero()) bad(text, "jitter must be >= 0 ms");
-  } else if (kind == "detect") {
+    ev.rate = parseRate(fields[3], text);
+    ev.jitter = parseDelay(fields[4], text, 1000.0);
+  } else if (kind == "detect" || kind == "ctrl-delay") {
     want(4);
-    ev.kind = FaultKind::DetectDelay;
-    parseEndpoints(fields[2], ev, /*starOk=*/false, text);
-    ev.detect = secondsExact(parseNum(fields[3], text) / 1000.0);
-    if (ev.detect < Time::zero()) bad(text, "detect delay must be >= 0 ms");
-  } else if (kind == "ctrl-loss" || kind == "ctrl-dup") {
-    want(4);
-    ev.kind = kind == "ctrl-loss" ? FaultKind::CtrlLoss : FaultKind::CtrlDup;
-    parseEndpoints(fields[2], ev, /*starOk=*/true, text);
-    ev.rate = parseNum(fields[3], text);
-    if (ev.rate < 0.0 || ev.rate > 1.0) bad(text, "rate must be in [0, 1]");
-  } else if (kind == "ctrl-delay") {
-    want(4);
-    ev.kind = FaultKind::CtrlDelay;
-    parseEndpoints(fields[2], ev, /*starOk=*/true, text);
-    ev.jitter = secondsExact(parseNum(fields[3], text) / 1000.0);
-    if (ev.jitter < Time::zero()) bad(text, "delay must be >= 0 ms");
+    parseEndpoints(fields[2], ev, /*starOk=*/kind == "ctrl-delay", text);
+    (kind == "detect" ? ev.detect : ev.jitter) = parseDelay(fields[3], text, 1000.0);
   } else if (kind == "flapburst") {
     want(5);
-    ev.kind = FaultKind::FlapBurst;
     parseEndpoints(fields[2], ev, /*starOk=*/false, text);
     const double n = parseNum(fields[3], text);
     if (n < 1.0 || n > 1000.0 || n != static_cast<double>(static_cast<int>(n))) {
@@ -160,7 +179,6 @@ FaultEvent parseEvent(const std::string& text) {
     if (ev.period <= Time::zero()) bad(text, "period must be > 0 s");
   } else if (kind == "churn") {
     want(5);
-    ev.kind = FaultKind::Churn;
     // Bounded so every exponential draw stays far inside Time's range.
     ev.mtbf = parseNum(fields[2], text);
     if (!(ev.mtbf > 0.0 && ev.mtbf <= 1e6)) bad(text, "mtbf must be in (0, 1e6] s");
@@ -168,15 +186,11 @@ FaultEvent parseEvent(const std::string& text) {
     if (!(ev.mttr > 0.0 && ev.mttr <= 1e6)) bad(text, "mttr must be in (0, 1e6] s");
     ev.stop = secondsExact(parseNum(fields[4], text));
     if (ev.stop < ev.at) bad(text, "stop must be >= the start time");
-  } else if (kind == "partition" || kind == "heal") {
+  } else {  // partition, heal
     want(3);
-    ev.kind = kind == "partition" ? FaultKind::Partition : FaultKind::Heal;
     for (const auto& n : split(fields[2], ',')) ev.group.push_back(parseNode(n, text));
     if (ev.group.empty()) bad(text, "expected a comma-separated node group");
-  } else {
-    bad(text, "unknown kind");
   }
-  if (ev.at < Time::zero()) bad(text, "time must be >= 0 s");
   return ev;
 }
 
@@ -194,6 +208,9 @@ std::string FaultPlan::format() const {
       case FaultKind::LinkFail:
       case FaultKind::LinkRecover:
         out += link(ev);
+        if (ev.pathFlow != kNoPathFlow && ev.repair < Time::infinity()) {
+          out += ':' + secs(ev.repair);
+        }
         break;
       case FaultKind::NodeCrash:
       case FaultKind::NodeRestart:
@@ -206,13 +223,13 @@ std::string FaultPlan::format() const {
         out += link(ev) + ':' + num(ev.rate);
         break;
       case FaultKind::LinkReorder:
-        out += link(ev) + ':' + num(ev.rate) + ':' + millis(ev.jitter);
+        out += link(ev) + ':' + num(ev.rate) + ':' + secs(ev.jitter, 1000.0);
         break;
       case FaultKind::DetectDelay:
-        out += link(ev) + ':' + millis(ev.detect);
+        out += link(ev) + ':' + secs(ev.detect, 1000.0);
         break;
       case FaultKind::CtrlDelay:
-        out += link(ev) + ':' + millis(ev.jitter);
+        out += link(ev) + ':' + secs(ev.jitter, 1000.0);
         break;
       case FaultKind::FlapBurst:
         out += link(ev) + ':' + std::to_string(ev.count) + ':' + secs(ev.period);

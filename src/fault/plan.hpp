@@ -32,6 +32,9 @@ enum class FaultKind {
 /// which node the endpoint draw picked.
 inline constexpr NodeId kFlowDst = -2;
 
+/// FaultEvent::pathFlow of an event that names its target explicitly.
+inline constexpr int kNoPathFlow = -1;
+
 [[nodiscard]] constexpr const char* toString(FaultKind k) {
   switch (k) {
     case FaultKind::LinkFail: return "fail";
@@ -54,7 +57,8 @@ inline constexpr NodeId kFlowDst = -2;
 }
 
 /// One timed fault. Which fields matter depends on `kind`:
-///   LinkFail/LinkRecover           a-b
+///   LinkFail                       a-b, or pathFlow (+ repair)
+///   LinkRecover                    a-b
 ///   NodeCrash/NodeRestart          a
 ///   LinkLoss/LinkCorrupt           a-b (or allLinks) + rate
 ///   LinkReorder                    a-b (or allLinks) + rate + jitter
@@ -65,6 +69,12 @@ inline constexpr NodeId kFlowDst = -2;
 ///   FlapBurst                      a-b + count + period
 ///   Churn                          mtbf + mttr + stop
 /// Any node field may hold kFlowDst.
+///
+/// A LinkFail with pathFlow >= 0 is the paper's failure: at its time the
+/// injector walks that flow's current forwarding path (the live shortest
+/// path if the walk loops or dead-ends), fails one live link on it drawn
+/// from the scenario RNG, and recovers that link `repair` later when
+/// `repair` is finite. Its FaultApply trace record names the cut link.
 struct FaultEvent {
   Time at = Time::zero();
   FaultKind kind = FaultKind::LinkFail;
@@ -80,6 +90,8 @@ struct FaultEvent {
   double mtbf = 0.0;           ///< Churn: mean seconds a link stays up.
   double mttr = 0.0;           ///< Churn: mean seconds a link stays down.
   Time stop = Time::zero();    ///< Churn: no new failures at or after this.
+  int pathFlow = kNoPathFlow;  ///< LinkFail: cut a link on this flow's path.
+  Time repair = Time::infinity();  ///< Path LinkFail: recover the cut link this long after.
 
   bool operator==(const FaultEvent&) const = default;
 };
@@ -91,6 +103,9 @@ struct FaultEvent {
 ///
 ///   400:fail:24-25          fail link 24-25 at t=400s
 ///   460:recover:24-25       recover it
+///   400:fail:path           fail a live link on flow 0's current path
+///   405:fail:path/1         ... on flow 1's path (flows count from 0)
+///   400:fail:path:60        ... and recover that link 60s later
 ///   400:crash:24            crash node 24 (protocol state lost)
 ///   460:restart:24          restart it with a cold RIB
 ///   395:loss:*:0.02         2% random loss on every link
@@ -107,6 +122,10 @@ struct FaultEvent {
 ///   390:churn:120:10:790       every link fails after Exp(120s) up, recovers
 ///                              after Exp(10s) down; no new failures from 790s
 ///   400:partition:dst          cut flow 0's receiver off (`dst` is a node token)
+///
+/// Every number must be finite and within +-1e9. The first `path` failure
+/// to fire must find a live link to cut (else the run fails); a later one
+/// that finds none does nothing.
 ///
 /// parse(format(p)) == p for every valid plan, so plans round-trip through
 /// describeOptions and the rcsim-experiment-v1 JSON artifacts bit-for-bit.

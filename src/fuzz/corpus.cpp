@@ -20,15 +20,6 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
-std::string scenarioDigest(const ScenarioConfig& cfg) {
-  std::string joined;
-  for (const auto& opt : describeOptions(cfg)) {
-    joined += opt;
-    joined += '\n';
-  }
-  return fnv1aHexDigest(joined);
-}
-
 std::string formatScenarioFile(const ScenarioDoc& doc) {
   std::ostringstream os;
   os << kScenarioMagic << '\n';

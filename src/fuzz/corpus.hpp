@@ -33,11 +33,6 @@ struct ScenarioDoc {
   std::string note;
 };
 
-/// Canonical digest of a scenario config: FNV-1a over the newline-joined
-/// describeOptions rendering. Stable across sessions; used for corpus
-/// dedup and the campaign's corpus digest.
-[[nodiscard]] std::string scenarioDigest(const ScenarioConfig& cfg);
-
 /// Render a scenario file: magic, `# expect:` / `# note:` metadata, then
 /// the canonical option lines. parseScenarioFile(formatScenarioFile(d))
 /// reproduces the document exactly.

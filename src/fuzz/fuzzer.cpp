@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/digest.hpp"
+#include "core/options.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/coverage.hpp"
 #include "fuzz/generator.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "topo/loader.hpp"
 
 namespace rcsim::fuzz {
 namespace {
@@ -31,33 +30,6 @@ std::vector<NodeId> drawGroup(Rng& rng, const Topology& topo) {
 }
 
 }  // namespace
-
-Topology scenarioTopology(const ScenarioConfig& cfg) {
-  Topology topo;
-  switch (cfg.topology) {
-    case TopologyKind::RegularMesh:
-      topo = makeRegularMesh(cfg.mesh);
-      break;
-    case TopologyKind::File:
-      topo = loadTopologyFile(cfg.file.path).topo;
-      break;
-    case TopologyKind::Named:
-      topo = namedTopology(cfg.named.graph).topo;
-      break;
-    case TopologyKind::Random: {
-      RandomGraphSpec rnd = cfg.random;
-      rnd.seed = cfg.seed;  // mirror Scenario: one seed drives the run
-      topo = makeRandomTopology(rnd);
-      break;
-    }
-    case TopologyKind::Inline:
-      topo.nodeCount = cfg.inlineTopo.nodes;
-      topo.edges = cfg.inlineTopo.edges;
-      topo.normalize();
-      break;
-  }
-  return topo;
-}
 
 fault::FaultPlan generateFaultPlan(Rng& rng, const Topology& topo, double windowStart,
                                    double windowEnd) {
@@ -256,8 +228,10 @@ fault::FaultPlan remapPlanToTopology(const fault::FaultPlan& plan, const Topolog
                                      Rng& rng) {
   fault::FaultPlan out = plan;
   for (auto& ev : out.events) {
+    // A `path` failure names a flow, not a link: it needs no remapping.
     const bool isLinkEvent =
-        ev.kind == fault::FaultKind::LinkFail || ev.kind == fault::FaultKind::LinkRecover ||
+        (ev.kind == fault::FaultKind::LinkFail && ev.pathFlow == fault::kNoPathFlow) ||
+        ev.kind == fault::FaultKind::LinkRecover ||
         ev.kind == fault::FaultKind::DetectDelay || ev.kind == fault::FaultKind::FlapBurst ||
         ((ev.kind == fault::FaultKind::LinkLoss || ev.kind == fault::FaultKind::LinkCorrupt ||
           ev.kind == fault::FaultKind::LinkReorder || ev.kind == fault::FaultKind::CtrlLoss ||

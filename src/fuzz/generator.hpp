@@ -17,11 +17,6 @@
 
 namespace rcsim::fuzz {
 
-/// The topology a ScenarioConfig will build, materialized exactly the way
-/// Scenario's constructor does (including the seed override for the
-/// Random family). Throws like the constructor would on invalid configs.
-[[nodiscard]] Topology scenarioTopology(const ScenarioConfig& cfg);
-
 /// Draw a random fault plan of 1..5 events inside [windowStart,
 /// windowEnd] seconds, referencing only `topo`'s real edges and nodes.
 [[nodiscard]] fault::FaultPlan generateFaultPlan(Rng& rng, const Topology& topo,

@@ -225,10 +225,11 @@ TEST(Dbf, TableIsFixedPointBetweenEvents) {
   // A crash destroys the node's protocol and fails its links; the restart
   // boots a fresh instance from an all-infinity table.
   TestNet tn{topo, ProtocolKind::Dbf};
+  Rng pathRng{1};
   fault::FaultInjector injector{
       tn.net(), fault::FaultPlan::parse("20:crash:12;40:restart:12"),
-      [](Node& node) { return makeProtocol(ProtocolKind::Dbf, node, {}); }, /*dst=*/24,
-      /*seed=*/1};
+      [](Node& node) { return makeProtocol(ProtocolKind::Dbf, node, {}); },
+      /*flows=*/{{0, 24}}, pathRng, /*seed=*/1};
   injector.install();
   tn.net().startProtocols();
   ASSERT_TRUE(runCheckingFixedPoint(tn, Time::zero(), 60_sec));

@@ -1,6 +1,6 @@
 // Experiment engine tests: registry integrity, barrier-free executor
-// determinism against serial per-cell runMany, and the JSON artifact
-// schema round-trip.
+// determinism against a serial per-cell runScenario loop, and the JSON
+// artifact schema round-trip.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "exp/registry.hpp"
 #include "exp/spec.hpp"
 #include "sim/watchdog.hpp"
+#include "test_util.hpp"
 
 namespace rcsim::exp {
 namespace {
@@ -132,8 +133,8 @@ TEST(Aggregate, RejectsMixedFailureTimes) {
 
 // The tentpole guarantee: flattening every (cell, seed) replica into one
 // shared queue must not change any aggregate bit. Compare full-precision
-// digests against serial single-threaded per-cell runMany.
-TEST(SweepExecutor, MatchesSerialRunManyBitForBit) {
+// digests against a serial per-cell runScenario loop.
+TEST(SweepExecutor, MatchesSerialLoopBitForBit) {
   const int runs = 4;
   ExperimentSpec spec;
   spec.name = "determinism_grid";
@@ -153,7 +154,7 @@ TEST(SweepExecutor, MatchesSerialRunManyBitForBit) {
   EXPECT_EQ(result.runs, runs);
 
   for (std::size_t c = 0; c < spec.cells.size(); ++c) {
-    const auto serial = runMany(spec.cells[c].config, runs, spec.cells[c].startSeed, 1);
+    const auto serial = testutil::serialRuns(spec.cells[c].config, runs, spec.cells[c].startSeed);
     const Aggregate expected = Aggregate::over(serial);
     EXPECT_EQ(aggregateDigest(result.cells[c].agg), aggregateDigest(expected))
         << spec.cells[c].id;
@@ -195,9 +196,9 @@ TEST(SweepExecutor, PipelinesMultipleJobs) {
   const ExperimentResult resB = executor.finish(jobB);
 
   EXPECT_EQ(aggregateDigest(resA.cells[0].agg),
-            aggregateDigest(Aggregate::over(runMany(first.cells[0].config, 3, 1, 1))));
+            aggregateDigest(Aggregate::over(testutil::serialRuns(first.cells[0].config, 3))));
   EXPECT_EQ(aggregateDigest(resB.cells[0].agg),
-            aggregateDigest(Aggregate::over(runMany(second.cells[0].config, 3, 1, 1))));
+            aggregateDigest(Aggregate::over(testutil::serialRuns(second.cells[0].config, 3))));
 }
 
 // CellSpec::run is the executor's test seam: synthetic replicas must fold
@@ -286,6 +287,7 @@ TEST(Artifact, DumpJsonNumbersRoundTripExactly) {
 }
 
 TEST(WallLimit, ParserRejectsNonFiniteAndNonPositiveBudgets) {
+  using cli::parseWallLimitSeconds;
   // strtod happily parses "nan"/"inf", and NaN slips past a `<= 0` guard
   // — the parser must reject non-finite budgets explicitly.
   EXPECT_EQ(parseWallLimitSeconds("nan"), 0.0);

@@ -54,8 +54,8 @@ TEST(MultiFailure, InjectsRequestedNumberOfCuts) {
   cfg.failureSpacing = 2_sec;
   Scenario sc{cfg};
   sc.run();
-  EXPECT_EQ(sc.failedLinks().size(), 3u);
-  for (const auto* l : sc.failedLinks()) EXPECT_FALSE(l->isUp());
+  EXPECT_EQ(sc.faultInjector()->pathCuts().size(), 3u);
+  for (const auto* l : sc.faultInjector()->pathCuts()) EXPECT_FALSE(l->isUp());
   // Conservation still holds with overlapping convergence episodes.
   std::uint64_t dropped = sc.stats().data().totalDropped();
   std::uint64_t delivered = sc.stats().data().delivered;
@@ -77,8 +77,8 @@ TEST(Repair, LinkComesBackAndRoutingReconverges) {
   cfg.repairAfter = 20_sec;
   Scenario sc{cfg};
   sc.run();
-  ASSERT_EQ(sc.failedLinks().size(), 1u);
-  EXPECT_TRUE(sc.failedLinks()[0]->isUp());  // repaired
+  ASSERT_EQ(sc.faultInjector()->pathCuts().size(), 1u);
+  EXPECT_TRUE(sc.faultInjector()->pathCuts()[0]->isUp());  // repaired
   // After repair the shortest path is the pre-failure one again.
   bool loop = false, blackhole = false;
   const auto path = sc.network().fibWalk(sc.sender(), sc.receiver(), &loop, &blackhole);

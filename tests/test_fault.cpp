@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/fingerprint.hpp"
+#include "core/options.hpp"
 #include "core/scenario.hpp"
 #include "exp/artifact.hpp"
 #include "exp/executor.hpp"
@@ -20,6 +22,7 @@
 #include "routing/factory.hpp"
 #include "sim/random.hpp"
 #include "sim/watchdog.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -35,12 +38,13 @@ TEST(FaultPlan, RoundTripsEveryKind) {
       "397:ctrl-loss:*:0.2;397:ctrl-delay:24-25:250;398:ctrl-dup:*:0.5;"
       "399:detect:24-25:2000;400:fail:24-25;400:crash:24;400:partition:0,1,2;"
       "390:churn:120:10:790;400:partition:dst;405:fail:dst-3;410:crash:dst;"
-      "420:flapburst:24-25:3:10;"
+      "420:flapburst:24-25:3:10;400:fail:path;405:fail:path/3;410:fail:path/1:0.5;"
       "460:heal:0,1,2;460:restart:24;460:recover:24-25";
   const FaultPlan p = FaultPlan::parse(text);
-  ASSERT_EQ(p.events.size(), 18u);
+  ASSERT_EQ(p.events.size(), 21u);
   EXPECT_EQ(p.format(), text);               // input was already canonical
   EXPECT_EQ(FaultPlan::parse(p.format()), p);  // and the form is stable
+  EXPECT_EQ(FaultPlan::parse("400:fail:path/0").format(), "400:fail:path");
 }
 
 TEST(FaultPlan, EmptyAndTrailingSemicolon) {
@@ -87,6 +91,23 @@ TEST(FaultPlan, RejectsMalformedEvents) {
       "400:churn:120:10",       // missing stop
       "400:churn:120:10:790:1", // too many fields
       "400:churn:*:10:790",     // mtbf is a number, not endpoints
+      "400:fail:path/",         // missing flow index
+      "400:fail:path/x",        // non-numeric flow index
+      "400:fail:path/-1",       // negative flow index
+      "400:fail:paths",         // not a path target
+      "400:recover:path",       // only a failure picks its link
+      "400:fail:path:-1",       // negative repair delay
+      "400:fail:path:inf",      // "never" is the absent field
+      "400:fail:path:60:1",     // too many fields
+      "400:fail:1-2:60",        // repair delays belong to path targets
+      "nan:fail:1-2",           // every number is finite ...
+      "inf:fail:1-2",
+      "400:loss:*:nan",
+      "400:reorder:*:0.1:inf",
+      "400:flapburst:1-2:3:nan",
+      "1e10:fail:1-2",          // ... and within +-1e9
+      "400:detect:1-2:1e13",
+      "400:churn:120:10:1e12",
   };
   for (const auto& text : bad) {
     EXPECT_THROW((void)FaultPlan::parse(text), std::invalid_argument) << text;
@@ -175,6 +196,14 @@ fault::FaultEvent randomFaultEvent(Rng& rng) {
   // Sprinkle the `dst` token over node references.
   if (ev.a != kInvalidNode && rng.uniform01() < 0.1) ev.a = fault::kFlowDst;
   if (!ev.group.empty() && rng.uniform01() < 0.1) ev.group.front() = fault::kFlowDst;
+  // Turn a third of the failures into path targets, from values already
+  // drawn (no extra draws, so the rest of the stream is unchanged).
+  if (ev.kind == fault::FaultKind::LinkFail && ev.b % 3 == 0) {
+    ev.pathFlow = ev.b % 7;
+    if (ev.b % 2 == 0) ev.repair = Time::nanoseconds(ev.b * 1'000'003LL);
+    ev.a = kInvalidNode;
+    ev.b = kInvalidNode;
+  }
   return ev;
 }
 
@@ -381,6 +410,144 @@ TEST(FaultInjector, DstTokenIsolatesTheReceiver) {
 TEST(FaultInjector, DanglingLinkReferenceThrowsAtEventTime) {
   ScenarioConfig cfg = faultBase(5);
   cfg.faultPlan = FaultPlan::parse("400:fail:0-48");  // not an edge of the mesh
+  Scenario sc{cfg};
+  EXPECT_THROW(sc.run(), std::runtime_error);
+}
+
+// ---------------------------------------------------------- path failures
+
+RunResult runWith(const std::vector<std::string>& options) {
+  ScenarioConfig cfg;
+  for (const auto& opt : options) applyOptionString(cfg, opt);
+  return runScenario(cfg);
+}
+
+/// Everything a replica reports: the pinned RunResult digest plus the
+/// anatomy rollup and the FIB snapshots, which that digest leaves out.
+std::string fullDigest(const RunResult& r) {
+  return runResultDigest(r) + "/" + anatomyDigest(r.anatomy) + "/" + r.fibDigestBefore + "/" +
+         r.fibDigestAfter;
+}
+
+// The config's failure fields are shorthand for `path` plan events: the
+// paper's default run and its explicit plan are the same run, bit for bit.
+TEST(PathFailure, DefaultFailureEqualsExplicitPathPlan) {
+  for (const char* protocol : {"RIP", "DBF", "BGP", "BGP3"}) {
+    for (const char* seed : {"seed=1", "seed=2", "seed=3"}) {
+      const std::string proto = std::string{"protocol="} + protocol;
+      const RunResult sugar = runWith({proto, seed});
+      const RunResult plan = runWith({proto, seed, "no-failure=1", "fault-plan=400:fail:path"});
+      EXPECT_EQ(fullDigest(sugar), fullDigest(plan)) << protocol << " " << seed;
+      EXPECT_EQ(sugar.anatomy.triggers, plan.anatomy.triggers);
+    }
+  }
+}
+
+TEST(PathFailure, MultiFailureAndRepairSugarEqualExplicitPlans) {
+  EXPECT_EQ(fullDigest(runWith({"protocol=BGP3", "seed=2", "flows=4", "failures=3",
+                                "fail-spacing=5"})),
+            fullDigest(runWith({"protocol=BGP3", "seed=2", "flows=4", "no-failure=1",
+                                "fault-plan=400:fail:path;405:fail:path/1;410:fail:path/2"})));
+  EXPECT_EQ(fullDigest(runWith({"protocol=DBF", "degree=3", "repair-after=60"})),
+            fullDigest(runWith({"protocol=DBF", "degree=3", "no-failure=1",
+                                "fault-plan=400:fail:path:60"})));
+}
+
+TEST(PathFailure, DesugarsAheadOfThePlan) {
+  ScenarioConfig cfg;
+  cfg.flows = 2;
+  cfg.failureCount = 3;
+  cfg.repairAfter = 30_sec;
+  cfg.faultPlan = FaultPlan::parse("300:crash:5");
+  EXPECT_EQ(cfg.effectiveFaultPlan().format(),
+            "400:fail:path:30;405:fail:path/1:30;410:fail:path:30;300:crash:5");
+  EXPECT_EQ(cfg.failureWatermark(), 300_sec);
+  cfg.injectFailure = false;
+  EXPECT_EQ(cfg.effectiveFaultPlan(), cfg.faultPlan);
+  cfg.faultPlan = {};
+  EXPECT_EQ(cfg.failureWatermark(), Time::infinity());
+}
+
+TEST(PathFailure, FaultApplyNamesTheCutLink) {
+  ScenarioConfig cfg;
+  std::vector<obs::TraceEvent> applied;
+  testutil::CallbackSink sink{obs::kindBit(obs::TraceKind::FaultApply),
+                              [&](const obs::TraceEvent& ev) { applied.push_back(ev); }};
+  Scenario sc{cfg};
+  sc.attachTraceSink(&sink);
+  sc.run();
+  ASSERT_EQ(applied.size(), 1u);
+  ASSERT_EQ(sc.faultInjector()->pathCuts().size(), 1u);
+  const Link* cut = sc.faultInjector()->pathCuts().front();
+  EXPECT_EQ(applied[0].t, 400_sec);
+  EXPECT_EQ(applied[0].a, cut->endpointA());
+  EXPECT_EQ(applied[0].b, cut->endpointB());
+  EXPECT_EQ(applied[0].x, static_cast<std::int64_t>(fault::FaultKind::LinkFail));
+  EXPECT_EQ(sc.faultInjector()->linkFailures(), 1u);
+  const auto& report = sc.convergenceAnalyzer()->report();
+  EXPECT_EQ(report.kindCounts[static_cast<std::size_t>(obs::TraceKind::FaultApply)], 1u);
+}
+
+// Pre-failure path stats belong to flow 0's first path failure; a path
+// failure of another flow, even an earlier one, neither takes them nor
+// stops the FIB snapshot from being taken at the first fault.
+TEST(PathFailure, PreFailureStatsWaitForFlowZero) {
+  ScenarioConfig cfg;
+  cfg.flows = 2;
+  cfg.injectFailure = false;
+  cfg.faultPlan = FaultPlan::parse("395:fail:path/1");
+  const RunResult other = runScenario(cfg);
+  EXPECT_EQ(other.preFailurePathHops, 0);
+  EXPECT_FALSE(other.fibDigestBefore.empty());
+
+  cfg.faultPlan = FaultPlan::parse("395:fail:path/1;400:fail:path");
+  const RunResult both = runScenario(cfg);
+  EXPECT_GE(both.preFailurePathHops, 6);  // at least the row distance
+  EXPECT_EQ(both.fibDigestBefore, other.fibDigestBefore);
+}
+
+/// Two nodes, one link, traffic from 10 s: the smallest world a path
+/// failure can empty.
+ScenarioConfig singleLink(const std::string& plan) {
+  ScenarioConfig cfg;
+  cfg.topology = TopologyKind::Inline;
+  cfg.inlineTopo.nodes = 2;
+  cfg.inlineTopo.edges = {{0, 1}};
+  cfg.injectFailure = false;
+  cfg.trafficStart = 10_sec;
+  cfg.trafficStop = 40_sec;
+  cfg.endAt = 50_sec;
+  cfg.faultPlan = FaultPlan::parse(plan);
+  return cfg;
+}
+
+TEST(PathFailure, LaterFailureWithNothingToCutIsANoop) {
+  std::size_t applied = 0;
+  testutil::CallbackSink sink{obs::kindBit(obs::TraceKind::FaultApply),
+                              [&](const obs::TraceEvent&) { ++applied; }};
+  Scenario sc{singleLink("20:fail:path;25:fail:path")};
+  sc.attachTraceSink(&sink);
+  sc.run();
+  EXPECT_EQ(applied, 1u);
+  EXPECT_EQ(sc.faultInjector()->pathCuts().size(), 1u);
+  EXPECT_EQ(sc.faultInjector()->linkFailures(), 1u);
+}
+
+TEST(PathFailure, FirstFailureWithNothingToCutThrows) {
+  Scenario sc{singleLink("15:fail:0-1;20:fail:path")};
+  EXPECT_THROW(sc.run(), std::runtime_error);
+}
+
+TEST(PathFailure, RepairRecoversTheCutLink) {
+  Scenario sc{singleLink("20:fail:path:5")};
+  sc.run();
+  ASSERT_EQ(sc.faultInjector()->pathCuts().size(), 1u);
+  EXPECT_TRUE(sc.faultInjector()->pathCuts().front()->isUp());
+  EXPECT_EQ(sc.faultInjector()->linkRecoveries(), 1u);
+}
+
+TEST(PathFailure, UnknownFlowThrowsAtEventTime) {
+  ScenarioConfig cfg = singleLink("20:fail:path/3");
   Scenario sc{cfg};
   EXPECT_THROW(sc.run(), std::runtime_error);
 }

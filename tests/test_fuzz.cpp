@@ -260,6 +260,30 @@ TEST(FuzzMinimize, DstTokenSurvivesTopologyShrinking) {
   EXPECT_EQ(findingKey(runScenarioOnce(res.config, 30.0)), findingKey(original));
 }
 
+TEST(FuzzMinimize, PathTargetSurvivesRemapAndMinimization) {
+  // path/1 names a flow this one-flow scenario lacks, so the run dies at
+  // t=8. A path target names a flow, not a link: remapping onto another
+  // topology and shrinking the mesh must both leave it as it is.
+  ScenarioConfig cfg = tinyConfig();
+  cfg.faultPlan = fault::FaultPlan::parse(
+      "6:loss:*:0.1;7:crash:4;8:fail:path/1;9.25:detect:0-1:500");
+  Rng rng{3};
+  const fault::FaultPlan remapped =
+      remapPlanToTopology(cfg.faultPlan, makeRegularMesh(MeshSpec{4, 4, 4}), rng);
+  EXPECT_EQ(remapped.events[2], cfg.faultPlan.events[2]);
+
+  const RunOutcome original = runScenarioOnce(cfg, 30.0);
+  ASSERT_EQ(original.status, RunStatus::Exception);
+  EXPECT_NE(original.detail.find("no flow 1"), std::string::npos);
+  MinimizeOptions opts;
+  opts.wallLimitSec = 30.0;
+  const MinimizeResult res = minimizeFinding(cfg, original, opts);
+  EXPECT_EQ(res.config.faultPlan.format(), "8:fail:path/1");
+  EXPECT_EQ(res.config.topology, TopologyKind::Inline);
+  EXPECT_LT(res.config.inlineTopo.nodes, 9);
+  EXPECT_EQ(findingKey(runScenarioOnce(res.config, 30.0)), findingKey(original));
+}
+
 TEST(FuzzCampaign, SameSeedSameCorpusDigestAndBank) {
   FuzzOptions opts;
   opts.seed = 99;

@@ -5,15 +5,23 @@
 #include <algorithm>
 
 #include "core/runner.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
+
+/// Mean over seeds 1..runs of `cfg`.
+Aggregate over(const ScenarioConfig& cfg, int runs) {
+  const exp::CellResult cell = testutil::executorRuns(cfg, runs);
+  EXPECT_FALSE(cell.failed());
+  return cell.agg;
+}
 
 Aggregate sweep(ProtocolKind kind, int degree, int runs = 8) {
   ScenarioConfig cfg;
   cfg.protocol = kind;
   cfg.mesh.degree = degree;
-  return Aggregate::over(runMany(cfg, runs, /*startSeed=*/1));
+  return over(cfg, runs);
 }
 
 // Observation 1: packet drops decrease as node degree increases; with
@@ -107,7 +115,7 @@ TEST(Observation5, ConvergencePacketsTakeLongerPaths) {
   ScenarioConfig cfg;
   cfg.protocol = ProtocolKind::Dbf;
   cfg.mesh.degree = 4;
-  const auto agg = Aggregate::over(runMany(cfg, 12));
+  const auto agg = over(cfg, 12);
   const int f = agg.failSec;
   const double steady = agg.meanDelay[static_cast<std::size_t>(f - 5)];
   double duringMax = 0.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace rcsim {
 namespace {
 
@@ -191,6 +194,30 @@ TEST(Options, RejectsMalformedInput) {
   EXPECT_THROW(applyOption(cfg, "traffic", "udp"), std::invalid_argument);
   EXPECT_THROW(applyOption(cfg, "dv.poison", "maybe"), std::invalid_argument);
   EXPECT_THROW(applyOptionString(cfg, "no-equals-sign"), std::invalid_argument);
+}
+
+// Every time-valued key rejects NaN, infinities and magnitudes past 1e9 s,
+// where Time::seconds' cast to int64 nanoseconds would be undefined;
+// repair-after alone keeps "inf" as "never".
+TEST(Options, RejectsNonFiniteAndOutOfRangeTimes) {
+  const std::vector<std::string> keys{
+      "traffic-start",  "traffic-stop",    "fail-at",      "fail-spacing",  "repair-after",
+      "end-at",         "prop-delay-ms",   "detect-ms",    "hello.interval", "hello.dead",
+      "dv.periodic",    "dv.timeout",      "ls.spf-delay-ms", "ls.refresh",  "dual.sia-timeout"};
+  for (const auto& key : keys) {
+    for (const std::string value : {"nan", "-nan", "inf", "-inf", "1e13", "-1e13", "1e300"}) {
+      if (key == "repair-after" && value == "inf") continue;
+      ScenarioConfig cfg;
+      EXPECT_THROW(applyOption(cfg, key, value), std::invalid_argument) << key << "=" << value;
+    }
+    ScenarioConfig cfg;
+    EXPECT_NO_THROW(applyOption(cfg, key, "1e6")) << key;
+  }
+  ScenarioConfig cfg;
+  applyOption(cfg, "repair-after", "inf");
+  EXPECT_EQ(cfg.repairAfter, Time::infinity());
+  applyOption(cfg, "end-at", "1e9");
+  EXPECT_EQ(cfg.endAt, Time::seconds(1e9));
 }
 
 // describeOptions must emit every knob a spec can set, so that replaying

@@ -6,8 +6,10 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "core/fingerprint.hpp"
 #include "core/options.hpp"
 #include "core/runner.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -39,10 +41,11 @@ TEST(Scenario, FailedLinkWasOnForwardingPath) {
   ScenarioConfig cfg = quickConfig(ProtocolKind::Dbf, 4, 5);
   Scenario sc{cfg};
   sc.run();
-  ASSERT_NE(sc.failedLink(), nullptr);
-  EXPECT_FALSE(sc.failedLink()->isUp());
-  EXPECT_TRUE(sc.preFailurePathShortest());
-  EXPECT_GE(sc.preFailurePathHops(), 6);  // at least the row distance
+  const auto* faults = sc.faultInjector();
+  ASSERT_EQ(faults->pathCuts().size(), 1u);
+  EXPECT_FALSE(faults->pathCuts().front()->isUp());
+  EXPECT_TRUE(faults->preFailurePathShortest());
+  EXPECT_GE(faults->preFailurePathHops(), 6);  // at least the row distance
 }
 
 TEST(Scenario, SeedReproducibility) {
@@ -105,7 +108,7 @@ TEST(Scenario, FractionalEndTimeKeepsFinalBucket) {
 
 TEST(Scenario, RunnerAggregatesMeans) {
   ScenarioConfig cfg = quickConfig(ProtocolKind::Dbf, 6, 1);
-  const auto results = runMany(cfg, 4, /*startSeed=*/1, /*threads=*/2);
+  const auto results = testutil::serialRuns(cfg, 4, /*startSeed=*/1);
   ASSERT_EQ(results.size(), 4u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].seed, 1u + i);
@@ -133,20 +136,37 @@ TEST(Scenario, AggregateTakesFailSecFromFirstRun) {
 
 TEST(Scenario, ParallelRunnerMatchesSerial) {
   ScenarioConfig cfg = quickConfig(ProtocolKind::Rip, 5, 1);
-  const auto serial = runMany(cfg, 3, 1, /*threads=*/1);
-  const auto parallel = runMany(cfg, 3, 1, /*threads=*/3);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].data.delivered, parallel[i].data.delivered);
-    EXPECT_EQ(serial[i].eventsExecuted, parallel[i].eventsExecuted);
+  const auto serial = testutil::serialRuns(cfg, 3, 1);
+  const exp::CellResult parallel = testutil::executorRuns(cfg, 3, /*threads=*/3);
+  ASSERT_FALSE(parallel.failed());
+  EXPECT_EQ(aggregateDigest(parallel.agg), aggregateDigest(Aggregate::over(serial)));
+}
+
+TEST(Scenario, ParallelRunnerReportsReplicaError) {
+  // A replica that throws on a worker thread must come back as its seed's
+  // failure report once the pool has joined, not terminate the process.
+  ScenarioConfig cfg = quickConfig(ProtocolKind::Rip, 5, 1);
+  cfg.flows = 0;
+  const exp::CellResult cell = testutil::executorRuns(cfg, 4, /*threads=*/2);
+  ASSERT_EQ(cell.failures.size(), 4u);
+  for (std::size_t i = 0; i < cell.failures.size(); ++i) {
+    EXPECT_EQ(cell.failures[i].seed, 1u + i);
+    EXPECT_EQ(cell.failures[i].error, "scenario needs at least one flow");
   }
 }
 
-TEST(Scenario, ParallelRunnerRethrowsReplicaError) {
-  // A replica that throws on a worker thread must surface as an exception
-  // from runMany once the pool has joined, not terminate the process.
-  ScenarioConfig cfg = quickConfig(ProtocolKind::Rip, 5, 1);
-  cfg.flows = 0;
-  EXPECT_THROW((void)runMany(cfg, 4, 1, /*threads=*/2), std::invalid_argument);
+TEST(Runner, EnvCountsAreStrictPositiveIntegers) {
+  EXPECT_EQ(parseEnvCount("RCSIM_RUNS", nullptr, 10), 10);
+  EXPECT_EQ(parseEnvCount("RCSIM_RUNS", "", 10), 10);
+  EXPECT_EQ(parseEnvCount("RCSIM_RUNS", "3", 10), 3);
+  for (const char* bad : {"10x", "abc", "0", "-2", "1.5", "99999999999"}) {
+    try {
+      (void)parseEnvCount("RCSIM_THREADS", bad, 4);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("RCSIM_THREADS"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Scenario, LinkStateProtocolRunsEndToEnd) {

@@ -7,13 +7,42 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
+#include "core/experiment.hpp"
+#include "exp/executor.hpp"
 #include "net/network.hpp"
 #include "routing/factory.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/topology.hpp"
 
 namespace rcsim::testutil {
+
+/// The reference replica runner: `runs` replicas of `base` (seeds
+/// startSeed, startSeed + 1, ...) one after another through runScenario.
+inline std::vector<RunResult> serialRuns(const ScenarioConfig& base, int runs,
+                                         std::uint64_t startSeed = 1) {
+  std::vector<RunResult> results;
+  for (int i = 0; i < runs; ++i) {
+    ScenarioConfig cfg = base;
+    cfg.seed = startSeed + static_cast<std::uint64_t>(i);
+    results.push_back(runScenario(cfg));
+  }
+  return results;
+}
+
+/// The same replicas as one cell on a `threads`-worker SweepExecutor
+/// (threads <= 0: the executor's default).
+inline exp::CellResult executorRuns(const ScenarioConfig& base, int runs, int threads = 0) {
+  exp::ExperimentSpec spec;
+  spec.name = "test";
+  exp::CellSpec cell;
+  cell.id = "cell";
+  cell.config = base;
+  spec.cells.push_back(cell);
+  exp::SweepExecutor executor{threads};
+  return executor.execute(spec, runs).cells.front();
+}
 
 /// A TraceSink that hands the events of the kinds it asks for to a
 /// callback: the test-side replacement for ad-hoc network observers.

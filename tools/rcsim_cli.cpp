@@ -10,6 +10,7 @@
 //   rcsim protocol=RIP degree=3 --runs=100
 //   rcsim protocol=BGP3 degree=5 failures=3 fail-spacing=5 --format=csv
 //   rcsim protocol=DBF topology=random random.avg-degree=4 --format=series
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include "core/cli.hpp"
 #include "core/options.hpp"
 #include "core/runner.hpp"
+#include "exp/executor.hpp"
 
 namespace {
 
@@ -36,6 +38,8 @@ void printUsage() {
       "  traffic-start traffic-stop failures fail-at fail-spacing\n"
       "  repair-after no-failure end-at bandwidth prop-delay-ms queue\n"
       "  detect-ms dv.* bgp.* ls.*  (see src/core/options.hpp)\n"
+      "env: RCSIM_RUNS (default --runs), RCSIM_THREADS,\n"
+      "  RCSIM_REPLICA_WATCHDOG_SEC (per-replica wall-clock limit)\n"
       "exit status: 0 success; 1 a replica failed (e.g. a fault-plan event\n"
       "  names a link or node the topology lacks), 'error: <what>' on stderr;\n"
       "  2 usage error\n");
@@ -90,11 +94,12 @@ int main(int argc, char** argv) {
   using namespace rcsim;
 
   ScenarioConfig cfg;
-  int runs = defaultRunCount(10);
+  int runs = 0;
   int threads = 0;
   std::string format = "table";
 
   try {
+    runs = defaultRunCount(10);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "-h" || arg == "--help") {
@@ -115,6 +120,7 @@ int main(int argc, char** argv) {
       printUsage();
       return 2;
     }
+    if (threads == 0) threads = defaultThreadCount();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     printUsage();
@@ -129,14 +135,31 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
   }
 
-  std::vector<RunResult> results;
-  try {
-    results = runMany(cfg, runs, cfg.seed, threads);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  // One cell of `runs` replicas (seeds cfg.seed, cfg.seed + 1, ...) on the
+  // sweep executor. Replicas are deterministic, so retrying a failed one
+  // would only fail again: the first failure is reported as is. The cell's
+  // run hook keeps each replica's RunResult for the CSV rows.
+  std::vector<RunResult> results(static_cast<std::size_t>(runs));
+  exp::ExperimentSpec spec;
+  spec.name = "rcsim";
+  exp::CellSpec cell;
+  cell.id = "rcsim";
+  cell.config = cfg;
+  cell.startSeed = cfg.seed;
+  cell.run = [&results, first = cfg.seed](const ScenarioConfig& replica) {
+    return results[static_cast<std::size_t>(replica.seed - first)] = runScenario(replica);
+  };
+  spec.cells.push_back(std::move(cell));
+  exp::JobOptions options;
+  options.retry.maxAttempts = 1;
+  exp::SweepExecutor executor{std::min(threads, runs)};
+  const exp::ExperimentResult result = executor.finish(executor.submit(spec, runs, options));
+  const exp::CellResult& out = result.cells.front();
+  if (out.failed()) {
+    std::fprintf(stderr, "error: %s\n", out.failures.front().error.c_str());
     return 1;
   }
-  const auto agg = Aggregate::over(results);
+  const Aggregate& agg = out.agg;
   if (format == "table") {
     printTable(agg, runs);
   } else if (format == "csv") {
