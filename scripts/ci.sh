@@ -27,23 +27,23 @@ grep -q '"metrics"' "$smoke_out/headline_table.json"
 grep -q '"replica.wall_sec"' "$smoke_out/headline_table.json"
 grep -q '"sim.events_executed"' "$smoke_out/headline_table.json"
 
-# Observability smoke: the structured tracer's record -> replay round trip
-# must agree bit-for-bit with the live path record (rcsim-trace --selftest),
-# and a recorded rcsim-trace-v1 file must replay cleanly.
-"$BUILD/tools/rcsim-trace" protocol=RIP degree=4 seed=7 --selftest > /dev/null
-"$BUILD/tools/rcsim-trace" protocol=BGP degree=4 seed=11 --selftest > /dev/null
+# Observability smoke: the live stats walker and analyzer must agree with
+# the offline replay of their own trace (rcsim-trace --selftest), and a
+# recorded rcsim-trace-v1 file must read back cleanly.
+"$BUILD/tools/rcsim-trace" protocol=RIP degree=4 seed=7 --selftest | grep -q 'selftest: OK'
+"$BUILD/tools/rcsim-trace" protocol=BGP degree=4 seed=11 --selftest | grep -q 'selftest: OK'
 "$BUILD/tools/rcsim-trace" protocol=RIP degree=4 seed=7 \
   --record="$smoke_out/smoke.trace.jsonl" > /dev/null
-"$BUILD/tools/rcsim-trace" --replay="$smoke_out/smoke.trace.jsonl" --from=399 --to=401 \
+"$BUILD/tools/rcsim-trace" --trace="$smoke_out/smoke.trace.jsonl" --timeline --from=399 --to=401 \
   | grep -q 'corrupt=0'
 
-# Inspect smoke: the convergence-anatomy query CLI must find at least one
+# Episode smoke: the convergence-anatomy query must find at least one
 # episode in the recorded trace, and two runs over the same file must agree
 # byte-for-byte (the analyzer is deterministic, not sampled).
-"$BUILD/tools/rcsim-inspect" --trace="$smoke_out/smoke.trace.jsonl" --episodes \
+"$BUILD/tools/rcsim-trace" --trace="$smoke_out/smoke.trace.jsonl" --episodes \
   > "$smoke_out/episodes1.txt"
 grep -q '^episode' "$smoke_out/episodes1.txt"
-"$BUILD/tools/rcsim-inspect" --trace="$smoke_out/smoke.trace.jsonl" --episodes \
+"$BUILD/tools/rcsim-trace" --trace="$smoke_out/smoke.trace.jsonl" --episodes \
   > "$smoke_out/episodes2.txt"
 cmp "$smoke_out/episodes1.txt" "$smoke_out/episodes2.txt"
 # Artifacts carry the convergence block (schema: exp/journal.hpp
@@ -107,7 +107,7 @@ cmake --build "$SAN_BUILD" -j "$(nproc)"
 # SPF against a full-BFS oracle (src/routing/linkstate.cpp), so the
 # sanitizer job also proves incremental == full element-wise under ASan.
 RCSIM_SPF_ORACLE=1 ctest --test-dir "$SAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|Inspect|inspect|trace_record|PathWalk|TraceReplay|Stats'
+  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|trace_|PathWalk|TraceReplay|Stats'
 
 # TSan job: a -fsanitize=thread build runs the concurrency-heavy suites
 # (SweepExecutor's work queue, the lock-free metrics registry, journaled
@@ -117,6 +117,6 @@ TSAN_BUILD=${TSAN_BUILD:-build-tsan}
 cmake -S . -B "$TSAN_BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRCSIM_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 ctest --test-dir "$TSAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Executor|Sweep|Journal|Metrics|Detector|Damping|Anatomy|Inspect|inspect|trace_record'
+  -R 'Executor|Sweep|Journal|Metrics|Detector|Damping|Anatomy|trace_'
 
 echo "ci: all gates green"

@@ -1,7 +1,9 @@
 #include "core/experiment.hpp"
 
 #include <cmath>
+#include <exception>
 
+#include "core/fingerprint.hpp"
 #include "obs/metrics.hpp"
 
 namespace rcsim {
@@ -112,7 +114,9 @@ RunResult summarizeRun(Scenario& scenario) {
       metrics->counter(prefix + ".executed").add(ks.executed);
     }
     // Convergence-anatomy rollup, so sweeps expose episode counts and drop
-    // attribution without widening the frozen Aggregate layout.
+    // attribution without widening the frozen Aggregate layout. (The
+    // executor feeds the per-run detection/convergence histograms itself,
+    // in seed order.)
     if (r.anatomy.episodes > 0 || r.anatomy.delivered > 0 || r.anatomy.controlMessages > 0) {
       metrics->counter("anatomy.episodes").add(r.anatomy.episodes);
       metrics->counter("anatomy.fib_churn").add(r.anatomy.fibChurn);
@@ -122,19 +126,50 @@ RunResult summarizeRun(Scenario& scenario) {
       metrics->counter("anatomy.drops.queue").add(r.anatomy.dropsQueue);
       metrics->counter("anatomy.control.messages").add(r.anatomy.controlMessages);
       metrics->counter("anatomy.control.bytes").add(r.anatomy.controlBytes);
-      if (r.anatomy.detectedEpisodes > 0) {
-        metrics->histogram("anatomy.detection_sec")
-            .observe(r.anatomy.detectionSecTotal /
-                     static_cast<double>(r.anatomy.detectedEpisodes));
-      }
-      if (r.anatomy.convergedEpisodes > 0) {
-        metrics->histogram("anatomy.convergence_sec")
-            .observe(r.anatomy.convergenceSecTotal /
-                     static_cast<double>(r.anatomy.convergedEpisodes));
-      }
     }
   }
   return r;
+}
+
+std::string replayDivergence(Scenario& scenario, const std::vector<obs::TraceEvent>& trace) {
+  const obs::ReplayOptions opt = scenario.replayOptions();
+  const obs::ConvergenceAnalyzer* analyzer = scenario.convergenceAnalyzer();
+  const obs::PathWalker& walker = scenario.stats().pathWalker();
+  try {
+    const obs::ReplayResult replay = obs::replayTrace(trace, opt);
+    if (analyzer != nullptr) {
+      const obs::AnatomyReport& live = analyzer->report();
+      if (live.pathEvents != replay.pathEvents) return "pathEvents";
+      if (live.loopWindows != replay.loopWindows) return "loopWindows";
+      if (live.blackholeWindows != replay.blackholeWindows) return "blackholeWindows";
+      if (live.kindCounts != replay.kindCounts) return "kindCounts";
+      if (live.delivered != replay.delivered || live.dropped != replay.dropped) {
+        return "planeCounters";
+      }
+    }
+    // The stats walker follows RouteChange events, never the FIB itself.
+    if (walker.events() != replay.pathEvents) return "walkerEvents";
+    if (walker.currentPath() != scenario.network().fibWalk(opt.src, opt.dst)) {
+      return "walkerPath";
+    }
+    if (analyzer != nullptr) {
+      // The same analyzer over the recorded stream: catches a live-vs-
+      // recorded event mismatch (a tracer fan-out bug).
+      const obs::AnatomyReport& live = analyzer->report();
+      const obs::AnatomyReport offline = obs::analyzeTrace(trace, opt);
+      if (live.episodes != offline.episodes) return "episodes";
+      if (live.perNodeControlMessages != offline.perNodeControlMessages ||
+          live.perNodeControlBytes != offline.perNodeControlBytes) {
+        return "perNodeControl";
+      }
+      if (anatomyDigest(live.summary()) != anatomyDigest(offline.summary())) {
+        return "anatomyDigest";
+      }
+    }
+  } catch (const std::exception&) {
+    return "replayThrew";
+  }
+  return "";
 }
 
 ScenarioConfig largeMeshConfig() {

@@ -79,6 +79,20 @@ struct RunResult {
 /// canonical summary that digests and sweeps are built on.
 [[nodiscard]] RunResult summarizeRun(Scenario& scenario);
 
+/// The live-vs-replay cross-check for a run that has finished and whose
+/// full trace stream `trace` was recorded beside the scenario's own sinks.
+/// Returns the name of the first field that disagrees, or "" when all do:
+///   replayThrew      the replay or the offline analyzer rejected the stream
+///   pathEvents, loopWindows, blackholeWindows, kindCounts, planeCounters
+///                    the live analyzer against obs::replayTrace
+///   walkerEvents     the stats walker's path events against the replay
+///   walkerPath       the walker's final path against Network::fibWalk
+///   episodes, perNodeControl, anatomyDigest
+///                    the live analyzer against obs::analyzeTrace of `trace`
+/// The analyzer's checks are skipped when the scenario runs without one.
+[[nodiscard]] std::string replayDivergence(Scenario& scenario,
+                                           const std::vector<obs::TraceEvent>& trace);
+
 /// The canonical Internet-scale scenario: a 100x100 degree-4 mesh (10,000
 /// nodes) brought to full convergence through one on-path link failure.
 /// Shared by the perf gate's mesh100x100_converge row and the pinned

@@ -40,12 +40,17 @@ long parseInt(const std::string& key, const std::string& value) {
 /// A time-valued option: `value` in seconds, or in 1/unitsPerSecond
 /// seconds (1e3 for the -ms keys). NaN, infinities and anything past
 /// +-1e9 s are rejected, because Time::seconds casts to int64 nanoseconds
-/// and that cast is undefined beyond about +-9.2e9 s.
+/// and that cast is undefined beyond about +-9.2e9 s. Only fail-spacing
+/// may be negative (later failures earlier); every other time is a point
+/// on the timeline or a duration, and must be >= 0.
 Time parseTime(const std::string& key, const std::string& value, double unitsPerSecond = 1.0) {
   const double sec = parseDouble(key, value) / unitsPerSecond;
   if (!(std::fabs(sec) <= 1e9)) {
     throw std::invalid_argument("option " + key + ": '" + value +
                                 "' is not a finite time within +-1e9 s");
+  }
+  if (sec < 0 && key != "fail-spacing") {
+    throw std::invalid_argument("option " + key + ": '" + value + "' must be >= 0");
   }
   return Time::seconds(sec);
 }

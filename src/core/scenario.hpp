@@ -208,6 +208,11 @@ class Scenario {
   /// Primary (flow 0) endpoints — what the figures measure.
   [[nodiscard]] NodeId sender() const { return flows_[0].sender; }
   [[nodiscard]] NodeId receiver() const { return flows_[0].receiver; }
+  /// The traced flow and node count, as an offline replay of this run's
+  /// trace needs them (the same triple a recorded file's meta carries).
+  [[nodiscard]] obs::ReplayOptions replayOptions() const {
+    return {sender(), receiver(), net_->nodeCount()};
+  }
 
   /// Total data packets originated across all flows.
   [[nodiscard]] std::uint64_t packetsSent() const;

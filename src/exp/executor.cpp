@@ -1,6 +1,7 @@
 #include "exp/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -47,11 +48,13 @@ class SweepExecutor::Job {
     raw_.resize(spec.cells.size());
     errors_.resize(spec.cells.size());
     trails_.resize(spec.cells.size());
+    anatomyMeans_.resize(spec.cells.size());
     cellLeft_ = std::make_unique<std::atomic<int>[]>(spec.cells.size());
     for (std::size_t c = 0; c < spec.cells.size(); ++c) {
       raw_[c].resize(static_cast<std::size_t>(runs));
       errors_[c].resize(static_cast<std::size_t>(runs));
       trails_[c].resize(static_cast<std::size_t>(runs));
+      anatomyMeans_[c].assign(static_cast<std::size_t>(runs), {std::nan(""), std::nan("")});
       cellLeft_[c].store(runs, std::memory_order_relaxed);
     }
     // The canonical-config digest keys journal records and the resume
@@ -101,6 +104,11 @@ class SweepExecutor::Job {
   /// [cell][replica] per-attempt error trail; non-empty with an empty
   /// errors_ slot = retried-then-successful replica.
   std::vector<std::vector<std::vector<std::string>>> trails_;
+  /// [cell][replica] mean detection and convergence seconds of each run's
+  /// anatomy rollup (NaN = none), fed to the metrics histograms in
+  /// (cell, seed) order when the job finishes: a floating-point sum in
+  /// completion order would differ in its last bits from run to run.
+  std::vector<std::vector<std::array<double, 2>>> anatomyMeans_;
   std::vector<std::string> cellDigest_;            ///< per-cell canonical-config digest
   std::vector<std::vector<std::uint8_t>> prefilled_;  ///< journaled results folded at submit
   std::atomic<std::size_t> completed_{0};  ///< replicas processed (run or resumed)
@@ -190,6 +198,16 @@ JobProgress SweepExecutor::progress(const std::shared_ptr<Job>& job) {
 
 void SweepExecutor::markDoneLocked(Job& job) {
   if (job.done_) return;
+  for (const auto& cell : job.anatomyMeans_) {
+    for (const auto& [detection, convergence] : cell) {
+      if (!std::isnan(detection)) {
+        job.metrics_.histogram("anatomy.detection_sec").observe(detection);
+      }
+      if (!std::isnan(convergence)) {
+        job.metrics_.histogram("anatomy.convergence_sec").observe(convergence);
+      }
+    }
+  }
   job.result_.wallSeconds = nowSec() - job.startedAt_;
   job.result_.metrics = job.metrics_.toJson();
   job.done_ = true;
@@ -321,6 +339,11 @@ void SweepExecutor::runReplica(Job& job, std::size_t item) {
     journalReplica(job, cell, rep, ok);
     if (ok) {
       const auto& an = job.raw_[cell][rep].anatomy;
+      const auto mean = [](double total, std::uint64_t n) {
+        return n > 0 ? total / static_cast<double>(n) : std::nan("");
+      };
+      job.anatomyMeans_[cell][rep] = {mean(an.detectionSecTotal, an.detectedEpisodes),
+                                      mean(an.convergenceSecTotal, an.convergedEpisodes)};
       job.episodes_.fetch_add(an.episodes, std::memory_order_relaxed);
       job.dropsLoop_.fetch_add(an.dropsLoop, std::memory_order_relaxed);
       job.dropsBlackhole_.fetch_add(an.dropsBlackhole, std::memory_order_relaxed);

@@ -84,39 +84,14 @@ RunOutcome runScenarioOnce(const ScenarioConfig& cfg, double wallLimitSec) {
   out.eventsExecuted = scenario->scheduler().executedEvents();
   if (!threw && out.status == RunStatus::Clean) {
     out.resultDigest = runResultDigest(summarizeRun(*scenario));
-    // Cross-check the streaming analyzer against the offline replayer over
-    // the exact events the run just produced. They are independent
-    // implementations of the same reconstruction; any disagreement is a
-    // simulator-observability bug worth banking.
-    if (const auto* anatomy = scenario->convergenceAnalyzer()) {
-      const auto& live = anatomy->report();
-      const obs::ReplayOptions opts{scenario->sender(), scenario->receiver(),
-                                    scenario->network().nodeCount()};
-      std::string field;
-      try {
-        const obs::ReplayResult replay = obs::replayTrace(out.trace, opts);
-        if (live.pathEvents != replay.pathEvents) {
-          field = "pathEvents";
-        } else if (live.loopWindows != replay.loopWindows) {
-          field = "loopWindows";
-        } else if (live.blackholeWindows != replay.blackholeWindows) {
-          field = "blackholeWindows";
-        } else if (live.kindCounts != replay.kindCounts) {
-          field = "kindCounts";
-        } else if (live.delivered != replay.delivered || live.dropped != replay.dropped) {
-          field = "planeCounters";
-        } else if (live.episodes != obs::analyzeTrace(out.trace, opts).episodes) {
-          // Same analyzer over the recorded stream: catches a live-vs-
-          // recorded event mismatch (a tracer fan-out bug) at episode level.
-          field = "episodes";
-        }
-      } catch (const std::exception&) {
-        field = "replayThrew";
-      }
-      if (!field.empty()) {
-        out.status = RunStatus::AnatomyDivergence;
-        out.detail = field + "\nonline analyzer vs offline replay disagree on " + field;
-      }
+    // Cross-check the live stats walker and streaming analyzer against
+    // the offline replayer over the exact events the run just produced.
+    // They are independent implementations of the same reconstruction;
+    // any disagreement is a simulator-observability bug worth banking.
+    const std::string field = replayDivergence(*scenario, out.trace);
+    if (!field.empty()) {
+      out.status = RunStatus::AnatomyDivergence;
+      out.detail = field + "\nlive run vs offline replay disagree on " + field;
     }
   }
   scenario->attachTraceSink(nullptr);

@@ -10,8 +10,9 @@
 // FileTraceSink, the fuzzer's MemoryTraceSink); every sink sees the same
 // emitted stream, so a recorded trace is exactly what the analyzer saw. It
 // is an independent implementation of the reconstruction in
-// obs/replay.hpp — the two cross-check each other element-wise on every
-// golden scenario and on every fuzzer execution (RunStatus::
+// obs/replay.hpp — the two cross-check each other element-wise through
+// replayDivergence (core/experiment.hpp) on every golden scenario, in
+// `rcsim-trace --selftest` and on every fuzzer execution (RunStatus::
 // AnatomyDivergence), which is what lets either be trusted.
 //
 // Where replay.cpp keeps a dense N x N shadow FIB and re-walks on every
@@ -152,9 +153,9 @@ struct AnatomyReport {
   std::uint64_t dropsQueue = 0;
   std::uint64_t dropsOther = 0;
 
-  /// Whole-run control-plane accounting, also kept per node so rcsim-
-  /// inspect can rank talkers. Per-node vectors are empty when the node
-  /// count is unknown (walk-less traces).
+  /// Whole-run control-plane accounting, also kept per node so
+  /// `rcsim-trace --episodes` can rank talkers. Per-node vectors are empty
+  /// when the node count is unknown (walk-less traces).
   std::uint64_t controlMessages = 0;
   std::uint64_t controlBytes = 0;
   std::uint64_t helloMessages = 0;
@@ -240,9 +241,9 @@ class ConvergenceAnalyzer : public TraceSink {
 };
 
 /// Offline entry point: run the streaming analyzer over a recorded event
-/// list. rcsim-inspect and the fuzzer's cross-check both go through this,
-/// so "inspect on a recorded trace" and "the live run's analyzer" are the
-/// same code over the same events — equal by construction.
+/// list. The trace tool's file modes and replayDivergence both go through
+/// this, so "a query on a recorded trace" and "the live run's analyzer"
+/// are the same code over the same events — equal by construction.
 [[nodiscard]] AnatomyReport analyzeTrace(const std::vector<TraceEvent>& events,
                                          const ReplayOptions& opt);
 

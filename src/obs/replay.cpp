@@ -53,11 +53,6 @@ std::vector<ReplayWindow> windows(const std::vector<ReplayPathEvent>& events,
   return out;
 }
 
-bool isMraiKind(TraceKind k) {
-  return k == TraceKind::MraiArm || k == TraceKind::MraiFire || k == TraceKind::BgpAdvert ||
-         k == TraceKind::BgpWithdraw;
-}
-
 }  // namespace
 
 ReplayOptions replayOptionsFromMeta(const JsonValue& meta) {
@@ -81,7 +76,6 @@ ReplayResult replayTrace(const std::vector<TraceEvent>& events, const ReplayOpti
 
   for (const auto& ev : events) {
     ++out.kindCounts[static_cast<std::size_t>(ev.kind)];
-    if (isMraiKind(ev.kind)) out.mraiTimeline.push_back(ev);
 
     switch (ev.kind) {
       case TraceKind::RouteChange: {

@@ -10,7 +10,8 @@
 // differs from the previous one. Because the live walk is driven solely
 // by route changes and reads nothing but FIB state, the reconstructed
 // sequence is bit-identical to StatsCollector::pathWalker().events() from
-// the live run (test_obs.cpp and `rcsim-trace --selftest` pin this).
+// the live run (replayDivergence in core/experiment.hpp checks this for
+// `rcsim-trace --selftest`, the fuzzer and the golden tests).
 
 #include <array>
 #include <cstdint>
@@ -51,9 +52,6 @@ struct ReplayResult {
   std::vector<ReplayPathEvent> pathEvents;
   std::vector<ReplayWindow> loopWindows;
   std::vector<ReplayWindow> blackholeWindows;
-  /// Chronological BGP update-pacing story: MraiArm / MraiFire /
-  /// BgpAdvert / BgpWithdraw events, in stream order.
-  std::vector<TraceEvent> mraiTimeline;
   /// Events seen per TraceKind (index = numeric kind value).
   std::array<std::uint64_t, kTraceKindCount> kindCounts{};
 
@@ -67,9 +65,5 @@ struct ReplayResult {
 
 [[nodiscard]] ReplayResult replayTrace(const std::vector<TraceEvent>& events,
                                        const ReplayOptions& opt);
-
-inline ReplayResult replayTrace(const TraceFile& file) {
-  return replayTrace(file.events, replayOptionsFromMeta(file.meta));
-}
 
 }  // namespace rcsim::obs

@@ -12,8 +12,8 @@
 // The kinds cover the paper's "routing and forwarding trace files"
 // (Section 5) plus the transport, failure-detection, fault-injection and
 // simulator-summary events that grew since; they enumerate every event
-// the forensic replayer (obs/replay.hpp) and the rcsim-trace CLI
-// understand.
+// the replayer (obs/replay.hpp), the convergence analyzer
+// (obs/anatomy.hpp) and the rcsim-trace tool understand.
 
 #include <cstdint>
 #include <vector>

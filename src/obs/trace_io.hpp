@@ -2,7 +2,8 @@
 
 // Serialization of the typed trace stream: the rcsim-trace-v1 JSONL
 // format, the in-memory and file-backed sinks, the reader, and a
-// deterministic digest over an event sequence.
+// deterministic digest over an event sequence. `rcsim-trace --record`
+// writes these files; its `--trace=FILE` modes read them.
 //
 // File layout (one record per line, no record spans lines):
 //

@@ -173,6 +173,28 @@ TEST(SweepExecutor, MatchesSerialLoopBitForBit) {
   }
 }
 
+// An artifact depends on the experiment, not on how many workers ran it:
+// outside its wall-time fields (and the worker count itself) the bytes at
+// 1 and at 3 or 4 threads are identical, the metrics block included.
+TEST(SweepExecutor, ArtifactBytesIndependentOfThreadCount) {
+  registerBuiltinExperiments();
+  const ExperimentSpec* spec = findExperiment("fig4_ttl");
+  ASSERT_NE(spec, nullptr);
+  const auto artifact = [&](int threads) {
+    SweepExecutor executor{threads};
+    JsonValue doc = buildArtifact(*spec, executor.execute(*spec, 2));
+    doc.object.erase("wall_seconds");
+    doc.object.erase("threads");
+    doc.object.at("metrics").object.at("histograms").object.erase("replica.wall_sec");
+    return dumpJson(doc);
+  };
+  const std::string serial = artifact(1);
+  EXPECT_NE(serial.find("anatomy.convergence_sec"), std::string::npos);
+  // Completion order varies from run to run; several pooled runs make a
+  // completion-order dependence show.
+  for (const int threads : {4, 3, 4}) EXPECT_EQ(artifact(threads), serial) << threads;
+}
+
 // Several experiments in flight at once (the rcsim_bench --all path):
 // FIFO completion, each one still bit-identical to its serial baseline.
 TEST(SweepExecutor, PipelinesMultipleJobs) {

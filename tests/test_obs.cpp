@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/fingerprint.hpp"
 #include "core/runner.hpp"
 #include "core/scenario.hpp"
@@ -325,21 +327,15 @@ void expectReplayMatchesStatsWalker(ProtocolKind kind, std::uint64_t seed) {
   sc.attachTraceSink(&sink);
   sc.run();
 
-  ReplayOptions opt;
-  opt.src = sc.sender();
-  opt.dst = sc.receiver();
-  opt.nodeCount = sc.network().nodeCount();
-  const ReplayResult replay = replayTrace(sink.events(), opt);
-
   // The stats walker (fed by the route-change hook, one column, walks
   // skipped off-column) against the full-FIB replay of the trace stream.
-  const auto& live = sc.stats().pathWalker().events();
-  ASSERT_FALSE(live.empty());
-  EXPECT_EQ(live, replay.pathEvents);
+  ASSERT_FALSE(sc.stats().pathWalker().events().empty());
+  EXPECT_EQ(replayDivergence(sc, sink.events()), "");
   // The data-plane tallies must agree with the live collector too
   // (control packets are consumed before deliverLocally, so Deliver
   // events are data-only).
-  EXPECT_EQ(replay.delivered, sc.stats().data().delivered);
+  EXPECT_EQ(replayTrace(sink.events(), sc.replayOptions()).delivered,
+            sc.stats().data().delivered);
 }
 
 TEST(TraceReplay, AgreesWithStatsWalkerRip) {
@@ -429,33 +425,12 @@ void expectAnatomyMatchesReplay(ProtocolKind kind, std::uint64_t seed) {
   const ConvergenceAnalyzer* live = sc.convergenceAnalyzer();
   ASSERT_NE(live, nullptr);
   ASSERT_TRUE(live->finished());
-
-  ReplayOptions opt;
-  opt.src = sc.sender();
-  opt.dst = sc.receiver();
-  opt.nodeCount = sc.network().nodeCount();
-  const ReplayResult replay = replayTrace(sink.events(), opt);
-  const AnatomyReport& on = live->report();
-  EXPECT_EQ(on.pathEvents, replay.pathEvents);
-  EXPECT_EQ(on.loopWindows, replay.loopWindows);
-  EXPECT_EQ(on.blackholeWindows, replay.blackholeWindows);
-  EXPECT_EQ(on.kindCounts, replay.kindCounts);
-  EXPECT_EQ(on.delivered, replay.delivered);
-  EXPECT_EQ(on.dropped, replay.dropped);
-
-  // The offline analyzer over the recorded stream is the same computation
-  // rcsim-inspect runs on a trace file: it must reproduce the live
-  // episode list (and the whole report) exactly.
-  const AnatomyReport offline = analyzeTrace(sink.events(), opt);
-  EXPECT_EQ(on.episodes, offline.episodes);
-  EXPECT_EQ(on.perNodeControlMessages, offline.perNodeControlMessages);
-  EXPECT_EQ(on.perNodeControlBytes, offline.perNodeControlBytes);
-  EXPECT_EQ(anatomyDigest(on.summary()), anatomyDigest(offline.summary()));
+  EXPECT_EQ(replayDivergence(sc, sink.events()), "");
 
   // One failure at t=100 inside the traffic window: the profiler must
   // have seen it.
-  ASSERT_GE(on.episodes.size(), 1u);
-  EXPECT_GT(on.summary().controlMessages, 0u);
+  ASSERT_GE(live->report().episodes.size(), 1u);
+  EXPECT_GT(live->report().summary().controlMessages, 0u);
 }
 
 TEST(Anatomy, OnlineMatchesOfflineRip) { expectAnatomyMatchesReplay(ProtocolKind::Rip, 7); }
@@ -463,6 +438,52 @@ TEST(Anatomy, OnlineMatchesOfflineRip) { expectAnatomyMatchesReplay(ProtocolKind
 TEST(Anatomy, OnlineMatchesOfflineBgp) { expectAnatomyMatchesReplay(ProtocolKind::Bgp, 5); }
 
 TEST(Anatomy, OnlineMatchesOfflineDbf) { expectAnatomyMatchesReplay(ProtocolKind::Dbf, 3); }
+
+// The cross-check names the first field a perturbed recording breaks: each
+// case changes one field of one event of the stream the live run produced.
+TEST(Anatomy, ReplayDivergenceNamesThePerturbedField) {
+  Scenario sc{quickConfig(ProtocolKind::Rip, 7)};
+  MemoryTraceSink sink;
+  sc.attachTraceSink(&sink);
+  sc.run();
+  ASSERT_EQ(replayDivergence(sc, sink.events()), "");
+
+  const auto first = [&](TraceKind kind, auto&& pred) {
+    const auto& evs = sink.events();
+    const auto it = std::find_if(evs.begin(), evs.end(), [&](const TraceEvent& ev) {
+      return ev.kind == kind && pred(ev);
+    });
+    EXPECT_NE(it, evs.end()) << toString(kind);
+    return static_cast<std::size_t>(it - evs.begin());
+  };
+  const auto any = [](const TraceEvent&) { return true; };
+  const Time failAt = sc.config().failAt;
+  struct Case {
+    std::size_t index;
+    void (*perturb)(TraceEvent&);
+    const char* field;
+  };
+  const Case cases[] = {
+      // The sender's first route to the receiver points back at itself.
+      {first(TraceKind::RouteChange,
+             [&](const TraceEvent& ev) { return ev.a == sc.sender() && ev.x == sc.receiver(); }),
+       [](TraceEvent& ev) { ev.z = ev.a; }, "pathEvents"},
+      {first(TraceKind::Deliver, any), [](TraceEvent& ev) { ev.kind = TraceKind::Originate; },
+       "kindCounts"},
+      {first(TraceKind::Drop, [](const TraceEvent& ev) { return ev.z == 1; }),
+       [](TraceEvent& ev) { ev.z = 0; }, "planeCounters"},
+      {first(TraceKind::ControlSend, [&](const TraceEvent& ev) { return ev.t > failAt; }),
+       [](TraceEvent& ev) { ev.x += 1; }, "episodes"},
+      {first(TraceKind::ControlSend, [&](const TraceEvent& ev) { return ev.t < failAt; }),
+       [](TraceEvent& ev) { ev.x += 1; }, "perNodeControl"},
+  };
+  for (const Case& c : cases) {
+    std::vector<TraceEvent> events = sink.events();
+    ASSERT_LT(c.index, events.size()) << c.field;
+    c.perturb(events[c.index]);
+    EXPECT_EQ(replayDivergence(sc, events), c.field);
+  }
+}
 
 TEST(Anatomy, DigestUnchangedWithAnatomyOff) {
   // The profiler is observe-only: switching it off must not move the

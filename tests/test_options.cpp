@@ -198,26 +198,38 @@ TEST(Options, RejectsMalformedInput) {
 
 // Every time-valued key rejects NaN, infinities and magnitudes past 1e9 s,
 // where Time::seconds' cast to int64 nanoseconds would be undefined;
-// repair-after alone keeps "inf" as "never".
+// repair-after alone keeps "inf" as "never". Negative times are rejected
+// too, except fail-spacing, which spaces later failures earlier.
 TEST(Options, RejectsNonFiniteAndOutOfRangeTimes) {
   const std::vector<std::string> keys{
       "traffic-start",  "traffic-stop",    "fail-at",      "fail-spacing",  "repair-after",
       "end-at",         "prop-delay-ms",   "detect-ms",    "hello.interval", "hello.dead",
       "dv.periodic",    "dv.timeout",      "ls.spf-delay-ms", "ls.refresh",  "dual.sia-timeout"};
   for (const auto& key : keys) {
-    for (const std::string value : {"nan", "-nan", "inf", "-inf", "1e13", "-1e13", "1e300"}) {
+    for (const std::string value :
+         {"nan", "-nan", "inf", "-inf", "1e13", "-1e13", "1e300", "-5", "-1e-9"}) {
       if (key == "repair-after" && value == "inf") continue;
+      if (key == "fail-spacing" && (value == "-5" || value == "-1e-9")) continue;
       ScenarioConfig cfg;
       EXPECT_THROW(applyOption(cfg, key, value), std::invalid_argument) << key << "=" << value;
     }
     ScenarioConfig cfg;
     EXPECT_NO_THROW(applyOption(cfg, key, "1e6")) << key;
+    EXPECT_NO_THROW(applyOption(cfg, key, "0")) << key;
   }
   ScenarioConfig cfg;
   applyOption(cfg, "repair-after", "inf");
   EXPECT_EQ(cfg.repairAfter, Time::infinity());
   applyOption(cfg, "end-at", "1e9");
   EXPECT_EQ(cfg.endAt, Time::seconds(1e9));
+  applyOption(cfg, "fail-spacing", "-5");
+  EXPECT_EQ(cfg.failureSpacing, Time::seconds(-5.0));
+  try {
+    applyOption(cfg, "fail-at", "-5");
+    ADD_FAILURE() << "fail-at=-5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "option fail-at: '-5' must be >= 0");
+  }
 }
 
 // describeOptions must emit every knob a spec can set, so that replaying

@@ -10,8 +10,6 @@
 #include "core/fingerprint.hpp"
 #include "core/json_lite.hpp"
 #include "core/scenario.hpp"
-#include "obs/anatomy.hpp"
-#include "obs/replay.hpp"
 #include "obs/trace_io.hpp"
 
 namespace rcsim {
@@ -154,30 +152,12 @@ TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
     EXPECT_EQ(runResultDigest(runScenario(off)), g.digest)
         << toString(g.protocol) << " seed " << g.seed << " diverged with anatomy off";
 
-    // The online analyzer's reconstruction must agree element-wise with
-    // the offline replay of the recorded stream — the two independent
-    // implementations cross-check each other on every golden scenario.
-    const obs::ConvergenceAnalyzer* live = sc.convergenceAnalyzer();
-    ASSERT_NE(live, nullptr);
-    obs::ReplayOptions opt;
-    opt.src = sc.sender();
-    opt.dst = sc.receiver();
-    opt.nodeCount = sc.network().nodeCount();
-    const obs::ReplayResult replay = replayTrace(sink.events(), opt);
-    const obs::AnatomyReport& on = live->report();
-    EXPECT_EQ(on.pathEvents, replay.pathEvents) << toString(g.protocol) << " seed " << g.seed;
-    EXPECT_EQ(on.loopWindows, replay.loopWindows) << toString(g.protocol) << " seed " << g.seed;
-    EXPECT_EQ(on.blackholeWindows, replay.blackholeWindows)
+    // The live stats walker and online analyzer must agree with the
+    // offline replay of the recorded stream — independent implementations
+    // cross-checking each other on every golden scenario.
+    ASSERT_NE(sc.convergenceAnalyzer(), nullptr);
+    EXPECT_EQ(replayDivergence(sc, sink.events()), "")
         << toString(g.protocol) << " seed " << g.seed;
-    EXPECT_EQ(on.kindCounts, replay.kindCounts) << toString(g.protocol) << " seed " << g.seed;
-    EXPECT_EQ(on.delivered, replay.delivered) << toString(g.protocol) << " seed " << g.seed;
-    EXPECT_EQ(on.dropped, replay.dropped) << toString(g.protocol) << " seed " << g.seed;
-
-    // And the offline analyzer over the same events must reproduce the
-    // live episode list exactly — live and trace-file queries
-    // (rcsim-inspect) are the same computation.
-    const obs::AnatomyReport offline = obs::analyzeTrace(sink.events(), opt);
-    EXPECT_EQ(on.episodes, offline.episodes) << toString(g.protocol) << " seed " << g.seed;
   }
 }
 
