@@ -23,6 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "core/experiment.hpp"
 #include "core/json_lite.hpp"
 #include "reference_scheduler.hpp"
@@ -132,13 +135,10 @@ ScenarioConfig dataplaneFlowsScenario() {
 constexpr double kMaxAnatomyOverheadPct = 3.0;
 constexpr double kMaxInvariantsOverheadPct = 10.0;
 
-/// One observer's cost: per interleaved on/off pair of full DBF scenario
-/// runs, the ratio of the two runs' thread CPU times. The two variants
-/// execute the identical event sequence (the golden digests pin that), so
-/// the ratio isolates the observer's per-event cost; the median over pairs
-/// discards the pairs a load spike hit on one side only.
-struct OverheadBench {
-  std::vector<double> ratios;  ///< on/off thread CPU time, one per pair
+/// One ratio per interleaved pair of runs: the median over pairs discards
+/// the pairs a load spike hit on one side only.
+struct PairedRatios {
+  std::vector<double> ratios;
 
   [[nodiscard]] double medianRatio() const {
     if (ratios.empty()) return 0.0;
@@ -152,6 +152,34 @@ struct OverheadBench {
   }
 };
 
+/// Events/sec of the schedule-run workload on `Sched`, measured in a child
+/// process forked for this one measurement, so an engine never runs on the
+/// memory another engine's run left behind; 0 if the child fails. One
+/// untimed pass first, so the rate is the warm engine's, not the first
+/// touch of its memory.
+template <typename Sched>
+double scheduleRunInChild(double minTimeSec) {
+  int fds[2];
+  if (pipe(fds) != 0) return 0.0;
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    benchScheduleRun<Sched>();
+    const double rate = measureItemsPerSec(kScheduleRunEvents, minTimeSec, 1,
+                                           [] { benchScheduleRun<Sched>(); });
+    const bool sent = write(fds[1], &rate, sizeof rate) == static_cast<ssize_t>(sizeof rate);
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  double rate = 0.0;
+  if (pid < 0 || read(fds[0], &rate, sizeof rate) != static_cast<ssize_t>(sizeof rate)) {
+    rate = 0.0;
+  }
+  close(fds[0]);
+  if (pid > 0) waitpid(pid, nullptr, 0);
+  return rate;
+}
+
 /// CPU time consumed by the calling thread, in seconds. Unlike wall time
 /// it does not count the time the thread waits for a core on a loaded
 /// machine.
@@ -161,12 +189,16 @@ double threadCpuSec() {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-// The two sides of a pair run back to back, alternating which goes first,
-// so drift (thermal, load, allocator state — this runs right after the
-// 100x100 converge) hits both equally; like pooled_speedup_vs_seed, the
-// *ratio* is the load-immune number the gate holds to its absolute budget.
-OverheadBench benchOverhead(bool ScenarioConfig::*observer, int pairs) {
-  OverheadBench b;
+// One observer's cost: per interleaved on/off pair of full DBF scenario
+// runs, the ratio of the two runs' thread CPU times. The two variants
+// execute the identical event sequence (the golden digests pin that), so
+// the ratio isolates the observer's per-event cost. The two sides of a
+// pair run back to back, alternating which goes first, so drift (thermal,
+// load, allocator state — this runs right after the 100x100 converge) hits
+// both equally; like pooled_speedup_vs_seed, the *ratio* is the load-immune
+// number the gate holds to its absolute budget.
+PairedRatios benchOverhead(bool ScenarioConfig::*observer, int pairs) {
+  PairedRatios b;
   for (int r = 0; r < pairs; ++r) {
     double cpu[2] = {0.0, 0.0};  // [off, on]
     for (const bool on : {r % 2 == 0, r % 2 != 0}) {
@@ -212,11 +244,12 @@ double benchMs(int reps, const std::function<void()>& body) {
 struct Metrics {
   double scheduleRunEventsPerSec = 0.0;
   double seedScheduleRunEventsPerSec = 0.0;
+  PairedRatios pooledSpeedup;  ///< pooled/reference events/sec, one per pair
   double selfReschedEventsPerSec = 0.0;
   std::vector<std::pair<std::string, double>> scenarioMs;  // stable order
   std::vector<std::pair<std::string, double>> topologyMs;  // stable order
-  OverheadBench anatomy;
-  OverheadBench invariants;
+  PairedRatios anatomy;
+  PairedRatios invariants;
   double rssMb = 0.0;
 };
 
@@ -262,18 +295,20 @@ void collectTopology(Metrics& m, int reps, bool includeConverge) {
 Metrics collect(double minTimeSec, int reps, bool includeConverge) {
   Metrics m;
   // The pooled engine and the frozen pre-rewrite engine
-  // (bench/reference_scheduler.hpp) run the identical workload back to back
-  // in each repetition, so their ratio is measured under the same load and
-  // flags — cross-process comparisons on shared machines are noise.
-  for (int r = 0; r < reps; ++r) {
-    m.scheduleRunEventsPerSec =
-        std::max(m.scheduleRunEventsPerSec,
-                 measureItemsPerSec(kScheduleRunEvents, minTimeSec, 1,
-                                    [] { benchScheduleRun<Scheduler>(); }));
-    m.seedScheduleRunEventsPerSec =
-        std::max(m.seedScheduleRunEventsPerSec,
-                 measureItemsPerSec(kScheduleRunEvents, minTimeSec, 1,
-                                    [] { benchScheduleRun<bench::ReferenceScheduler>(); }));
+  // (bench/reference_scheduler.hpp) run the identical workload in pairs of
+  // back-to-back measurements, alternating which goes first, so a pair's
+  // ratio is measured under the same load and flags. Each measurement is
+  // its own child process forked before this process has run anything,
+  // so neither engine inherits the other's heap.
+  for (int r = 0; r < 2 * reps + 1; ++r) {
+    double rate[2] = {0.0, 0.0};  // [pooled, reference]
+    for (const bool pooled : {r % 2 == 0, r % 2 != 0}) {
+      rate[pooled ? 0 : 1] = pooled ? scheduleRunInChild<Scheduler>(minTimeSec)
+                                    : scheduleRunInChild<bench::ReferenceScheduler>(minTimeSec);
+    }
+    m.scheduleRunEventsPerSec = std::max(m.scheduleRunEventsPerSec, rate[0]);
+    m.seedScheduleRunEventsPerSec = std::max(m.seedScheduleRunEventsPerSec, rate[1]);
+    if (rate[0] > 0.0 && rate[1] > 0.0) m.pooledSpeedup.ratios.push_back(rate[0] / rate[1]);
   }
   m.selfReschedEventsPerSec =
       measureItemsPerSec(kSelfReschedEvents, minTimeSec, reps, [] { benchSelfResched(); });
@@ -308,11 +343,7 @@ std::string toJson(const Metrics& m) {
   os << "    \"self_resched_events_per_sec\": " << num(m.selfReschedEventsPerSec) << ",\n";
   os << "    \"seed_schedule_run_events_per_sec\": " << num(m.seedScheduleRunEventsPerSec)
      << ",\n";
-  os << "    \"pooled_speedup_vs_seed\": "
-     << num(m.seedScheduleRunEventsPerSec > 0.0
-                ? m.scheduleRunEventsPerSec / m.seedScheduleRunEventsPerSec
-                : 0.0)
-     << "\n";
+  os << "    \"pooled_speedup_vs_seed\": " << num(m.pooledSpeedup.medianRatio()) << "\n";
   os << "  },\n";
   os << "  \"scenario_ms\": {\n";
   for (std::size_t i = 0; i < m.scenarioMs.size(); ++i) {
@@ -376,13 +407,12 @@ int compareAgainstBaseline(const Metrics& m, const std::string& path, double tol
               m.scheduleRunEventsPerSec, tolerancePct, /*higherIsBetter=*/true, failures);
   checkMetric("scheduler.self_resched (ev/s)", sched.numberAt("self_resched_events_per_sec"),
               m.selfReschedEventsPerSec, tolerancePct, /*higherIsBetter=*/true, failures);
-  if (sched.has("pooled_speedup_vs_seed") && m.seedScheduleRunEventsPerSec > 0.0) {
-    // The in-process ratio is load-independent, so it gates the pooled
+  if (sched.has("pooled_speedup_vs_seed") && !m.pooledSpeedup.ratios.empty()) {
+    // The paired ratio is load-independent, so it gates the pooled
     // engine's advantage itself, not just absolute machine speed.
     checkMetric("scheduler.pooled_speedup_vs_seed",
-                sched.numberAt("pooled_speedup_vs_seed"),
-                m.scheduleRunEventsPerSec / m.seedScheduleRunEventsPerSec, tolerancePct,
-                /*higherIsBetter=*/true, failures);
+                sched.numberAt("pooled_speedup_vs_seed"), m.pooledSpeedup.medianRatio(),
+                tolerancePct, /*higherIsBetter=*/true, failures);
   }
   const JsonValue& scen = base.at("scenario_ms");
   for (const auto& [name, ms] : m.scenarioMs) {

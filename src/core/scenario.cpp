@@ -145,8 +145,8 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
   // Streaming convergence anatomy: observe-only, so every digest is the
   // same with it on or off.
   if (cfg_.anatomy) {
-    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(net_->nodeCount(),
-                                                          stats_->pathWalker());
+    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(
+        net_->nodeCount(), stats_->pathWalker(), net_->trace());
     net_->trace().addSink(anatomy_.get());
   }
   if (cfg_.checkInvariants || envInvariantsEnabled()) {

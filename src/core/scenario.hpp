@@ -178,8 +178,9 @@ class Scenario {
   /// Attach an external trace sink (a recorder, a printer) behind the
   /// scenario's own sinks, replacing any earlier one; nullptr detaches it.
   /// A sink asking for every kind (the default) widens the emitted stream
-  /// to all of it, for the analyzer as well, so a recorded trace and the
-  /// analyzer's kindCounts agree with an offline replay.
+  /// to all of it; the analyzer still sees only its own kinds, and takes
+  /// its kindCounts from the tracer, so a recorded trace and the analyzer's
+  /// kindCounts agree with an offline replay.
   void attachTraceSink(obs::TraceSink* sink) {
     if (externalSink_ != nullptr) net_->trace().removeSink(externalSink_);
     externalSink_ = sink;

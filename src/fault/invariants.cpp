@@ -53,7 +53,6 @@ std::string Violation::format() const {
 }
 
 void InvariantChecker::onTraceEvent(const obs::TraceEvent& ev) {
-  if ((kKinds & obs::kindBit(ev.kind)) == 0) return;
   check(ev);  // a violation's trail ends with this event's predecessor
   trail_[trailPushed_++ % kTrailLength] = ev;
 }

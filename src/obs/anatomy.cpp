@@ -99,8 +99,9 @@ ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt)
       walker_{ownWalker_.get()},
       report_{emptyReport(opt.nodeCount)} {}
 
-ConvergenceAnalyzer::ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker)
-    : walker_{&walker}, report_{emptyReport(nodeCount)} {}
+ConvergenceAnalyzer::ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker,
+                                         const Tracer& tracer)
+    : walker_{&walker}, tracer_{&tracer}, report_{emptyReport(nodeCount)} {}
 
 void ConvergenceAnalyzer::onTraceEvent(const TraceEvent& ev) {
   if (!finished_) analyze(ev);
@@ -153,7 +154,7 @@ void ConvergenceAnalyzer::foldWindow(bool on, Time t, OpenWindow& state,
 }
 
 void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
-  ++report_.kindCounts[static_cast<std::size_t>(ev.kind)];
+  if (tracer_ == nullptr) ++report_.kindCounts[static_cast<std::size_t>(ev.kind)];
 
   if (isTrigger(ev.kind)) openEpisode(ev);
   ConvergenceEpisode* ep = episodeOpen_ ? &report_.episodes.back() : nullptr;
@@ -250,6 +251,7 @@ void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
 void ConvergenceAnalyzer::finish() {
   if (finished_) return;
   finished_ = true;
+  if (tracer_ != nullptr) report_.kindCounts = tracer_->kindCounts();
   if (loop_.open && loop_.owner != kNoOwner) report_.episodes[loop_.owner].loopOpenAtEnd = true;
   if (blackhole_.open && blackhole_.owner != kNoOwner) {
     report_.episodes[blackhole_.owner].blackholeOpenAtEnd = true;

@@ -7,8 +7,8 @@
 //
 // The ConvergenceAnalyzer is a TraceSink on the network's Tracer, beside
 // the stats collector, the invariant checker and any recorder (a
-// FileTraceSink, the fuzzer's MemoryTraceSink); every sink sees the same
-// emitted stream, so a recorded trace is exactly what the analyzer saw. It
+// FileTraceSink, the fuzzer's MemoryTraceSink); a recorded trace holds
+// every event the analyzer saw, each event in the same order. It
 // is an independent implementation of the reconstruction in
 // obs/replay.hpp — the two cross-check each other element-wise through
 // replayDivergence (core/experiment.hpp) on every golden scenario, in
@@ -142,7 +142,7 @@ struct AnatomyReport {
   std::vector<ReplayPathEvent> pathEvents;
   std::vector<ReplayWindow> loopWindows;
   std::vector<ReplayWindow> blackholeWindows;
-  std::array<std::uint64_t, kTraceKindCount> kindCounts{};
+  KindCounts kindCounts{};
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;  ///< data packets only (Drop with z==1)
 
@@ -183,14 +183,17 @@ class ConvergenceAnalyzer : public TraceSink {
   explicit ConvergenceAnalyzer(const ReplayOptions& opt);
 
   /// Live form: read the path events of `walker`, which a sink ahead of
-  /// this one on the same Tracer (the StatsCollector) feeds with each
-  /// RouteChange before this analyzer sees it.
-  ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker);
+  /// this one on `tracer` (the StatsCollector) feeds with each RouteChange
+  /// before this analyzer sees it. The tracer hands this analyzer only its
+  /// kKinds, so finish() takes report().kindCounts from the tracer's
+  /// count of every event it emitted.
+  ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker, const Tracer& tracer);
 
   /// The kinds analyze() consumes: episode triggers, detection and route
   /// events, data-plane fates (deliver/drop), and control-plane
   /// accounting. Per-hop forwards and originations are left out, so a run
-  /// that records nothing never builds them for the analyzer's sake;
+  /// that records nothing never builds them for the analyzer's sake, and
+  /// one that records them does not hand them to the analyzer;
   /// report().kindCounts counts whatever the Tracer emitted, which with a
   /// recorder attached is the full stream.
   static constexpr std::uint32_t kKinds =
@@ -230,6 +233,7 @@ class ConvergenceAnalyzer : public TraceSink {
 
   std::unique_ptr<PathWalker> ownWalker_;  ///< offline form only
   const PathWalker* walker_;
+  const Tracer* tracer_ = nullptr;  ///< live form only: keeps the kind counts
   std::size_t pathsSeen_ = 0;  ///< walker events already folded into report_
   bool finished_ = false;
 

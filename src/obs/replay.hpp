@@ -53,7 +53,7 @@ struct ReplayResult {
   std::vector<ReplayWindow> loopWindows;
   std::vector<ReplayWindow> blackholeWindows;
   /// Events seen per TraceKind (index = numeric kind value).
-  std::array<std::uint64_t, kTraceKindCount> kindCounts{};
+  KindCounts kindCounts{};
 
   std::uint64_t delivered = 0;  ///< Deliver events (data plane)
   std::uint64_t dropped = 0;    ///< Drop events (data packets only, z==1)

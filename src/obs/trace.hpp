@@ -3,11 +3,11 @@
 // Typed structured event tracing: the one channel through which the
 // simulator reports what happens. A TraceEvent is a fixed-size record
 // (time, kind, two node ids, three integer payload words); call sites emit
-// it through the Tracer owned by Network, which hands it to every attached
-// TraceSink in attach order. The stats collector, the convergence analyzer,
-// the invariant checker and any recorder are all sinks. A kind no sink
-// asks for costs one mask test at the emitter: no strings, no allocation,
-// nothing formatted.
+// it through the Tracer owned by Network, which hands it, in attach order,
+// to each attached TraceSink that asks for its kind. The stats collector,
+// the convergence analyzer, the invariant checker and any recorder are all
+// sinks. A kind no sink asks for costs one mask test at the emitter: no
+// strings, no allocation, nothing formatted.
 //
 // The kinds cover the paper's "routing and forwarding trace files"
 // (Section 5) plus the transport, failure-detection, fault-injection and
@@ -15,6 +15,7 @@
 // the replayer (obs/replay.hpp), the convergence analyzer
 // (obs/anatomy.hpp) and the rcsim-trace tool understand.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -110,13 +111,14 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void onTraceEvent(const TraceEvent& ev) = 0;
-  /// The kinds this sink needs emitted (kindBit mask; default: all). This
-  /// is a demand, not a filter: the Tracer emits the union over its sinks
-  /// and every sink sees every emitted event, so a sink that counts kinds
-  /// sees exactly the stream a recorder beside it writes. Read once, when
-  /// the sink is attached.
+  /// The kinds this sink is handed (kindBit mask; default: all). The
+  /// Tracer emits the union over its sinks and hands each event only to
+  /// the sinks that ask for its kind. Read once, when the sink is attached.
   [[nodiscard]] virtual std::uint32_t kinds() const { return kAllKinds; }
 };
+
+/// Events per kind, indexed by TraceKind.
+using KindCounts = std::array<std::uint64_t, kTraceKindCount>;
 
 /// The per-network dispatch point: a short ordered list of borrowed sinks.
 /// wants() is one mask test, and emitters guard any costly payload
@@ -125,35 +127,49 @@ class Tracer {
  public:
   /// Append a sink (borrowed, not owned); sinks see events in attach order.
   void addSink(TraceSink* sink) {
-    sinks_.push_back(sink);
+    sinks_.push_back(Attached{sink, sink->kinds()});
     kinds_ |= sink->kinds();
   }
   /// Detach a sink; a no-op when it is not attached.
   void removeSink(TraceSink* sink) {
-    std::erase(sinks_, sink);
+    std::erase_if(sinks_, [sink](const Attached& a) { return a.sink == sink; });
     kinds_ = 0;
-    for (const TraceSink* s : sinks_) kinds_ |= s->kinds();
+    for (const Attached& a : sinks_) kinds_ |= a.kinds;
   }
 
   /// The union of the attached sinks' kinds(): what emit() lets through.
   [[nodiscard]] std::uint32_t kinds() const { return kinds_; }
   [[nodiscard]] bool wants(TraceKind kind) const { return (kinds_ & kindBit(kind)) != 0; }
 
-  void emit(const TraceEvent& ev) const {
+  /// Every event emitted so far, per kind: with a recorder attached, the
+  /// kind counts of the recorded stream.
+  [[nodiscard]] const KindCounts& kindCounts() const { return counts_; }
+
+  void emit(const TraceEvent& ev) {
     if (wants(ev.kind)) dispatch(ev);
   }
   void emit(Time t, TraceKind kind, NodeId a, NodeId b, std::int64_t x = 0, std::int64_t y = 0,
-            std::int64_t z = 0) const {
+            std::int64_t z = 0) {
     if (wants(kind)) dispatch(TraceEvent{t, kind, a, b, x, y, z});
   }
 
  private:
-  void dispatch(const TraceEvent& ev) const {
-    for (TraceSink* s : sinks_) s->onTraceEvent(ev);
+  struct Attached {
+    TraceSink* sink;
+    std::uint32_t kinds;
+  };
+
+  void dispatch(const TraceEvent& ev) {
+    ++counts_[static_cast<std::size_t>(ev.kind)];
+    const std::uint32_t bit = kindBit(ev.kind);
+    for (const Attached& a : sinks_) {
+      if ((a.kinds & bit) != 0) a.sink->onTraceEvent(ev);
+    }
   }
 
-  std::vector<TraceSink*> sinks_;
+  std::vector<Attached> sinks_;
   std::uint32_t kinds_ = 0;
+  KindCounts counts_{};
 };
 
 }  // namespace rcsim::obs

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/watchdog.hpp"
@@ -21,6 +22,15 @@ std::uint32_t Scheduler::acquireSlot() {
   return usedSlots_++;
 }
 
+void Scheduler::Lane::grow() {
+  const std::uint32_t capacity = capacity_ == 0 ? 64 : capacity_ * 2;
+  auto ring = std::make_unique_for_overwrite<HeapItem[]>(capacity);
+  for (std::uint32_t i = 0; i < count_; ++i) ring[i] = ring_[(head_ + i) & (capacity_ - 1)];
+  ring_ = std::move(ring);
+  capacity_ = capacity;
+  head_ = 0;
+}
+
 void Scheduler::cancel(EventId id) {
   if (!id.valid()) return;
   const auto slot = static_cast<std::uint32_t>(id.value & kSlotMask);
@@ -37,17 +47,34 @@ void Scheduler::cancel(EventId id) {
 void Scheduler::run(Time horizon) {
   stopped_ = false;
   const std::int64_t horizonNs = horizon.ns();
-  while (!queue_.empty() && !stopped_) {
-    const HeapItem top = queue_.top();
+  while (!stopped_) {
+    // The next record is the least of the heap top and the lane fronts;
+    // keys are unique, so there is never a tie.
+    const HeapItem* next = queue_.empty() ? nullptr : &queue_.top();
+    std::size_t from = kLanes;
+    for (std::uint32_t busy = busyLanes_; busy != 0; busy &= busy - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(busy));
+      if (next == nullptr || lanes_[i].front() < *next) {
+        next = &lanes_[i].front();
+        from = i;
+      }
+    }
+    if (next == nullptr) break;
+    const HeapItem top = *next;
     if (static_cast<std::int64_t>(top.atNs) > horizonNs) break;
     // Pop order wanders across the slab, so the slot line is usually cold;
-    // start fetching it while the sift-down below does its compares.
+    // start fetching it while the pop below does its compares.
     Slot& s = slotRef(static_cast<std::uint32_t>(top.key & kSlotMask));
 #if defined(__GNUC__)
     __builtin_prefetch(&s);
 #endif
-    queue_.pop();
-    if (s.key != top.key) continue;  // cancelled: orphaned heap record
+    if (from == kLanes) {
+      queue_.pop();
+    } else {
+      lanes_[from].pop();
+      if (lanes_[from].empty()) busyLanes_ &= ~(1u << from);
+    }
+    if (s.key != top.key) continue;  // cancelled: orphaned record
     // Clear the key before invoking so a self-cancel during the callback is
     // a stale no-op, but keep the slot off the free list until the callback
     // finishes: chunk addresses are stable, so it runs in place — no move.

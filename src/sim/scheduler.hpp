@@ -18,8 +18,10 @@ namespace rcsim {
 /// Coarse classification of scheduled events, for per-kind scheduler
 /// profiling (the PDES groundwork: lookahead and partitioning decisions
 /// need to know what the event mix *is*). Call sites tag their schedule*
-/// calls; untagged calls default to Generic. Purely observational — the
-/// kind never affects ordering or execution.
+/// calls; untagged calls default to Generic. The kind never affects
+/// ordering or execution; it only picks where a record waits: a fresh
+/// LinkDelivery event may wait in one of the scheduler's fixed-delay FIFO
+/// lanes instead of its heap (see Scheduler).
 enum class EventKind : std::uint8_t {
   Generic = 0,   ///< untagged
   LinkDelivery,  ///< packet serialization / propagation on a link
@@ -137,16 +139,30 @@ struct EventId {
 /// events order as if they had all been scheduled at that moment.
 ///
 /// Storage is a chunked slab of pooled slots (callback + liveness key)
-/// indexed by a min-heap of plain 16-byte (time, key) records, where key
-/// packs the globally increasing sequence number with the slot index.
-/// Chunks give slots stable addresses, so callbacks are constructed,
-/// invoked, and destroyed in place — never moved. Cancellation clears the
-/// slot's key and recycles it immediately — O(1), no tombstone set, no
-/// growth on stale cancels; the orphaned heap record is skipped when popped
-/// because its key no longer matches the slot's.
+/// indexed by plain 16-byte (time, key) records, where key packs the
+/// globally increasing sequence number with the slot index. Chunks give
+/// slots stable addresses, so callbacks are constructed, invoked, and
+/// destroyed in place — never moved. Cancellation clears the slot's key and
+/// recycles it immediately — O(1), no tombstone set, no growth on stale
+/// cancels; the orphaned record is skipped when popped because its key no
+/// longer matches the slot's.
+///
+/// The records wait in a 4-ary min-heap or in one of kLanes FIFO lanes.
+/// A lane is a ring bound to one delay. A link event's delay is one
+/// packet's transmission time or the propagation delay, so a handful of
+/// delays covers nearly every packet hop. A LinkDelivery event that takes
+/// a fresh sequence number (scheduleAt/scheduleAfter) goes to the lane
+/// bound to its delay, else to an empty lane, which is rebound to that
+/// delay, else to the heap; everything else goes to the heap. now() never
+/// goes back and fresh sequence numbers only grow, so each lane receives
+/// its records in increasing (time, key) order, and run() pops the least of
+/// the heap top and the lane fronts: exactly the order of one heap.
 class Scheduler {
  public:
   using Callback = EventCallback;
+
+  /// Fixed-delay FIFO lanes beside the heap.
+  static constexpr std::size_t kLanes = 4;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
@@ -169,7 +185,11 @@ class Scheduler {
   EventId scheduleAt(Time at, EventKind kind, F&& f) {
     if (at < now_) at = now_;
     countScheduled(kind, at);
-    return push(at, nextSeq_++, kind, std::forward<F>(f));
+    const HeapItem item = store(at, nextSeq_++, kind, std::forward<F>(f));
+    if (kind != EventKind::LinkDelivery || !enqueueLane(item, (at - now_).ns())) {
+      queue_.push(item);
+    }
+    return EventId{item.key};
   }
 
   /// Reserve the next `n` sequence numbers at now() for a series of `kind`
@@ -201,7 +221,10 @@ class Scheduler {
   EventId scheduleReserved(Time at, std::uint64_t seq, EventKind kind, F&& f) {
     assert(seq != 0 && seq < nextSeq_ && "sequence number was never reserved");
     if (at < now_) at = now_;
-    return push(at, seq, kind, std::forward<F>(f));
+    // An older number may precede a lane's tail: the heap orders it.
+    const HeapItem item = store(at, seq, kind, std::forward<F>(f));
+    queue_.push(item);
+    return EventId{item.key};
   }
 
   /// Schedule `f` after `delay` from now (negative delays clamp to now).
@@ -247,6 +270,11 @@ class Scheduler {
 
   /// Total events cancelled while still pending.
   [[nodiscard]] std::uint64_t cancelledEvents() const { return cancelled_; }
+
+  /// Events that waited in a lane instead of the heap, and how many times
+  /// a lane was bound to a new delay (profiling only).
+  [[nodiscard]] std::uint64_t laneEvents() const { return laneEvents_; }
+  [[nodiscard]] std::uint64_t laneRebinds() const { return laneRebinds_; }
 
   /// Scheduling-delay buckets: bucket 0 is a zero delay, bucket i >= 1
   /// covers [2^(i-1), 2^i) nanoseconds of sim time between schedule and
@@ -357,6 +385,60 @@ class Scheduler {
     std::vector<HeapItem> v_;
   };
 
+  /// A FIFO ring of records bound to one delay; doubles when full and never
+  /// shrinks, so a warm lane allocates nothing.
+  class Lane {
+   public:
+    static constexpr std::uint64_t kUnbound = ~std::uint64_t{0};
+
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+    [[nodiscard]] const HeapItem& front() const { return ring_[head_]; }
+
+    void push(const HeapItem& item) {
+      if (count_ == capacity_) grow();
+      ring_[(head_ + count_) & (capacity_ - 1)] = item;
+      ++count_;
+    }
+    void pop() {
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --count_;
+    }
+
+    std::uint64_t delayNs = kUnbound;  ///< The one delay of its records.
+
+   private:
+    void grow();
+
+    std::unique_ptr<HeapItem[]> ring_;
+    std::uint32_t capacity_ = 0;  ///< Zero or a power of two.
+    std::uint32_t head_ = 0;
+    std::uint32_t count_ = 0;
+  };
+
+  /// Queue a fresh record `delayNs` after now() in the lane bound to that
+  /// delay, else in an empty lane rebound to it; false when every lane
+  /// holds another delay's records.
+  bool enqueueLane(const HeapItem& item, std::int64_t delayNs) {
+    const auto delay = static_cast<std::uint64_t>(delayNs);
+    std::size_t unused = kLanes;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      if (lanes_[i].delayNs == delay) {
+        lanes_[i].push(item);
+        busyLanes_ |= 1u << i;
+        ++laneEvents_;
+        return true;
+      }
+      if (unused == kLanes && lanes_[i].empty()) unused = i;
+    }
+    if (unused == kLanes) return false;
+    lanes_[unused].delayNs = delay;
+    lanes_[unused].push(item);
+    busyLanes_ |= 1u << unused;
+    ++laneRebinds_;
+    ++laneEvents_;
+    return true;
+  }
+
   Slot& slotRef(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
   }
@@ -369,24 +451,25 @@ class Scheduler {
     ++ks.delayHisto[delayBucket(at - now_)];
   }
 
-  /// Store `f` in a pooled slot and queue it at `at` under `seq`.
+  /// Store `f` in a pooled slot under `seq`; returns the record to queue.
   template <typename F>
-  EventId push(Time at, std::uint64_t seq, EventKind kind, F&& f) {
+  HeapItem store(Time at, std::uint64_t seq, EventKind kind, F&& f) {
     const std::uint32_t slot = acquireSlot();
     Slot& s = slotRef(slot);
     s.cb.emplace(std::forward<F>(f));
     s.kind = static_cast<std::uint8_t>(kind);
     // The key is unique for the scheduler's lifetime (sequence in the high
     // bits), so a recycled slot can never satisfy a stale handle or an
-    // orphaned heap record.
+    // orphaned record.
     const std::uint64_t key = (seq << kSlotBits) | slot;
     s.key = key;
-    queue_.push(HeapItem{static_cast<std::uint64_t>(at.ns()), key});
     ++live_;
-    return EventId{key};
+    return HeapItem{static_cast<std::uint64_t>(at.ns()), key};
   }
 
   EventHeap queue_;
+  std::array<Lane, kLanes> lanes_{};
+  std::uint32_t busyLanes_ = 0;  ///< Bit i set while lane i holds records.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> freeSlots_;
   std::uint32_t usedSlots_ = 0;  ///< High-water mark of freshly carved slots.
@@ -395,6 +478,8 @@ class Scheduler {
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t laneEvents_ = 0;
+  std::uint64_t laneRebinds_ = 0;
   bool stopped_ = false;
   std::array<KindStats, kEventKindCount> kindStats_{};
 };

@@ -5,12 +5,15 @@
 // A steady-state CBR packet crossing a link must not touch the heap: both
 // link delivery closures live inside the scheduler's inline callback
 // storage, the source keeps one pending tick whose slot is recycled, and
-// the link queue is a ring that stops growing once warm.
+// the link queue is a ring that stops growing once warm, and so are the
+// scheduler's lanes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "test_util.hpp"
 #include "traffic/cbr.hpp"
@@ -82,6 +85,60 @@ TEST(Alloc, SteadyStateDataPlaneHopAllocatesNothing) {
   const std::uint64_t forwarded = delivered - deliveredBefore;
   EXPECT_EQ(cbr.packetsSent() - sentBefore, 5000u);
   EXPECT_GE(forwarded, 4990u);  // three hops each
+  EXPECT_EQ(gAllocations, 0u) << "heap allocations while forwarding " << forwarded
+                              << " packets";
+}
+
+TEST(Alloc, SteadyStateWithLaneRebindingAllocatesNothing) {
+  // Four CBR sources of four packet sizes at four rates on one line, two in
+  // each direction: four transmission times plus the propagation delay are
+  // five link delays for four lanes, so lanes keep being rebound, and while
+  // all five are pending a link event waits in the heap.
+  ProtocolConfig proto;
+  proto.dv.periodicInterval = 1000_sec;
+  testutil::TestNet tn{testutil::lineTopology(4), ProtocolKind::Dbf, proto};
+  struct Flow {
+    NodeId src, dst;
+    std::uint32_t bytes;
+    double rate;
+  };
+  std::vector<std::unique_ptr<CbrSource>> sources;
+  for (const Flow& f : {Flow{0, 3, 64, 700.0}, Flow{3, 0, 200, 500.0}, Flow{0, 3, 500, 400.0},
+                        Flow{3, 0, 1000, 300.0}}) {
+    CbrSource::Config cfg;
+    cfg.src = f.src;
+    cfg.dst = f.dst;
+    cfg.packetsPerSecond = f.rate;
+    cfg.packetBytes = f.bytes;
+    cfg.start = 20_sec;
+    cfg.stop = 40_sec;
+    sources.push_back(std::make_unique<CbrSource>(tn.net(), cfg));
+    sources.back()->install();
+  }
+  std::uint64_t delivered = 0;
+  for (const NodeId sink : {0, 3}) {
+    tn.node(sink).addDeliveryHandler([&delivered](const Packet&) { ++delivered; });
+  }
+
+  tn.warmUp(25_sec);
+  const Scheduler& sched = tn.scheduler();
+  const std::uint64_t deliveredBefore = delivered;
+  const std::uint64_t rebindsBefore = sched.laneRebinds();
+  const std::uint64_t lanedBefore = sched.laneEvents();
+  const std::uint64_t linkBefore = sched.kindStats(EventKind::LinkDelivery).scheduled;
+  ASSERT_GT(deliveredBefore, 4000u);
+
+  gAllocations = 0;
+  gCounting = true;
+  tn.runUntil(30_sec);
+  gCounting = false;
+
+  const std::uint64_t forwarded = delivered - deliveredBefore;
+  EXPECT_GE(forwarded, 9490u);  // 1900 packets a second, three hops each
+  EXPECT_GT(sched.laneRebinds() - rebindsBefore, 1000u);
+  const std::uint64_t laned = sched.laneEvents() - lanedBefore;
+  EXPECT_GT(laned, 0u);
+  EXPECT_LT(laned, sched.kindStats(EventKind::LinkDelivery).scheduled - linkBefore);
   EXPECT_EQ(gAllocations, 0u) << "heap allocations while forwarding " << forwarded
                               << " packets";
 }

@@ -127,26 +127,29 @@ TEST(Network, EmittedKindsAreUnionOfSinkKinds) {
   EXPECT_EQ(net.trace().kinds(),
             obs::kindBit(obs::TraceKind::RouteChange) | obs::kindBit(obs::TraceKind::LinkDown));
 
-  // An emitted kind reaches every sink, in attach order; one nobody asked
-  // for reaches none.
+  // An emitted kind reaches only the sinks that asked for it; one nobody
+  // asked for reaches none and is not counted.
   net.node(0).setRoute(1, 1);
   l.fail();
   l.recover();
-  const std::vector<obs::TraceKind> both{obs::TraceKind::RouteChange, obs::TraceKind::LinkDown};
-  for (const auto* sink : {&routes, &downs}) {
-    ASSERT_EQ(sink->events().size(), 2u);
-    EXPECT_EQ(sink->events()[0].kind, both[0]);
-    EXPECT_EQ(sink->events()[1].kind, both[1]);
-  }
+  ASSERT_EQ(routes.events().size(), 1u);
+  EXPECT_EQ(routes.events()[0].kind, obs::TraceKind::RouteChange);
+  ASSERT_EQ(downs.events().size(), 1u);
+  EXPECT_EQ(downs.events()[0].kind, obs::TraceKind::LinkDown);
+  const obs::KindCounts& counts = net.trace().kindCounts();
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::TraceKind::RouteChange)], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::TraceKind::LinkDown)], 1u);
+  EXPECT_EQ(counts[static_cast<std::size_t>(obs::TraceKind::LinkUp)], 0u);
 
   // Removing a sink drops its kinds from the union.
   net.trace().removeSink(&downs);
   EXPECT_EQ(net.trace().kinds(), obs::kindBit(obs::TraceKind::RouteChange));
   l.fail();
   net.node(0).setRoute(1, kInvalidNode);
-  ASSERT_EQ(routes.events().size(), 3u);
-  EXPECT_EQ(routes.events()[2].kind, obs::TraceKind::RouteChange);
-  EXPECT_EQ(downs.events().size(), 2u);
+  ASSERT_EQ(routes.events().size(), 2u);
+  EXPECT_EQ(routes.events()[1].kind, obs::TraceKind::RouteChange);
+  EXPECT_EQ(downs.events().size(), 1u);
+  EXPECT_EQ(net.trace().kindCounts()[static_cast<std::size_t>(obs::TraceKind::LinkDown)], 1u);
 
   // A default sink asks for everything.
   obs::MemoryTraceSink all;

@@ -2,7 +2,7 @@
 // rcsim-trace-v1 wire format (encode/decode/CRC/torn tail), trace
 // determinism across identical seeds, replay agreement with the live
 // stats path walk, the online convergence-anatomy profiler (episode
-// semantics, offline-replay equivalence, verbatim fan-out to every sink), and
+// semantics, offline-replay equivalence, verbatim fan-out to the sinks), and
 // the executor's published metrics block.
 
 #include <gtest/gtest.h>

@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace rcsim {
 namespace {
@@ -303,6 +308,220 @@ TEST(Scheduler, ReservedSeriesCanBeCancelled) {
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(s.scheduledEvents(), 2u);
   EXPECT_EQ(s.cancelledEvents(), 1u);
+}
+
+// The reference the lanes are held to: one queue sorted by (time, sequence
+// number), with the scheduler's interface and clamping, run and stop rules.
+class OracleScheduler {
+ public:
+  using Handle = std::uint64_t;  ///< the sequence number
+
+  [[nodiscard]] Time now() const { return now_; }
+
+  Handle scheduleAt(Time at, EventKind /*kind*/, std::function<void()> f) {
+    return put(at, nextSeq_++, std::move(f));
+  }
+  Handle scheduleAfter(Time delay, EventKind kind, std::function<void()> f) {
+    if (delay < Time::zero()) delay = Time::zero();
+    return scheduleAt(now_ + delay, kind, std::move(f));
+  }
+  template <typename NextAt>
+  std::uint64_t reserveSeries(EventKind /*kind*/, std::uint64_t n, NextAt&& nextAt) {
+    for (std::uint64_t i = 0; i < n; ++i) static_cast<void>(nextAt());
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+  }
+  Handle scheduleReserved(Time at, std::uint64_t seq, EventKind /*kind*/,
+                          std::function<void()> f) {
+    return put(at, seq, std::move(f));
+  }
+
+  void cancel(Handle seq) {
+    const auto it = timeOf_.find(seq);
+    if (it == timeOf_.end()) return;
+    queue_.erase({it->second, seq});
+    timeOf_.erase(it);
+    ++cancelled_;
+  }
+
+  void run(Time horizon = Time::infinity()) {
+    stopped_ = false;
+    while (!queue_.empty() && !stopped_) {
+      const auto it = queue_.begin();
+      if (it->first.first > horizon.ns()) break;
+      now_ = Time::nanoseconds(it->first.first);
+      std::function<void()> f = std::move(it->second);
+      timeOf_.erase(it->first.second);
+      queue_.erase(it);
+      ++executed_;
+      f();
+    }
+    if (!stopped_ && horizon != Time::infinity() && now_ < horizon) now_ = horizon;
+  }
+  void stop() { stopped_ = true; }
+
+  [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
+  [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
+  [[nodiscard]] std::uint64_t scheduledEvents() const { return nextSeq_ - 1; }
+  [[nodiscard]] std::uint64_t cancelledEvents() const { return cancelled_; }
+
+ private:
+  Handle put(Time at, std::uint64_t seq, std::function<void()> f) {
+    if (at < now_) at = now_;
+    queue_.emplace(std::pair{at.ns(), seq}, std::move(f));
+    timeOf_.emplace(seq, at.ns());
+    return seq;
+  }
+
+  std::map<std::pair<std::int64_t, std::uint64_t>, std::function<void()>> queue_;
+  std::unordered_map<std::uint64_t, std::int64_t> timeOf_;
+  Time now_ = Time::zero();
+  std::uint64_t nextSeq_ = 1;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  bool stopped_ = false;
+};
+
+// A seeded random event mix. Link events take one of seven delays, more
+// than there are lanes, so lanes rebind and some link events wait in the
+// heap; the other kinds land at random instants on the same microsecond
+// grid, so lane and heap records tie. Every fired event may schedule
+// children, cancel a random earlier event (pending, fired or cancelled) or
+// itself; a reserved series runs throughout; the run is cut by a horizon
+// and by stop(). What an event does depends only on the seed and its id,
+// so two schedulers that fire in the same order make the same calls.
+template <typename S>
+struct Mix {
+  static constexpr int kMaxEvents = 20000;
+  static constexpr int kSeriesLength = 40;
+  static constexpr int kStopAfter = 6000;  ///< fired events before stop()
+  static constexpr std::int64_t kLinkDelaysUs[] = {0, 3, 51, 120, 800, 1000, 1500};
+
+  using Handle = decltype(std::declval<S&>().scheduleAt(Time::zero(), EventKind::Generic,
+                                                        [] {}));
+
+  S s;
+  std::uint64_t seed;
+  EventKind linkKind;  ///< the tag of the link events
+  std::vector<Handle> handles;  ///< by event id
+  std::vector<int> fired;       ///< event ids in firing order
+  std::vector<Time> stops;      ///< now() after each run() call
+  std::uint64_t seriesFirst = 0;
+  int seriesNext = 0;
+
+  Mix(std::uint64_t seed, EventKind linkKind) : seed{seed}, linkKind{linkKind} {}
+
+  static Time seriesAt(int i) { return Time::microseconds(500 + 700 * i); }
+
+  void scheduleRandom(Rng& rng) {
+    if (static_cast<int>(handles.size()) >= kMaxEvents) return;
+    const int id = static_cast<int>(handles.size());
+    handles.emplace_back();
+    const auto body = [this, id] { onFire(id); };
+    if (rng.uniformInt(0, 9) < 6) {
+      const auto delay = kLinkDelaysUs[rng.uniformInt(0, std::size(kLinkDelaysUs) - 1)];
+      handles[id] = s.scheduleAfter(Time::microseconds(delay), linkKind, body);
+    } else {
+      static constexpr EventKind kOthers[] = {EventKind::Protocol, EventKind::Transport,
+                                              EventKind::Traffic};
+      // Some instants lie in the past and clamp to now().
+      const Time at = s.now() + Time::microseconds(rng.uniformInt(-20, 2000));
+      handles[id] = s.scheduleAt(at, kOthers[rng.uniformInt(0, 2)], body);
+    }
+  }
+
+  void armSeries() {
+    const int id = static_cast<int>(handles.size());
+    handles.emplace_back();
+    const int i = seriesNext;
+    handles[id] = s.scheduleReserved(seriesAt(i), seriesFirst + static_cast<std::uint64_t>(i),
+                                     EventKind::Traffic, [this, id] {
+                                       fired.push_back(id);
+                                       if (++seriesNext < kSeriesLength) armSeries();
+                                     });
+  }
+
+  void onFire(int id) {
+    fired.push_back(id);
+    Rng rng{seed * 1000003 + static_cast<std::uint64_t>(id)};
+    for (auto n = rng.uniformInt(0, 2); n > 0; --n) scheduleRandom(rng);
+    const auto roll = rng.uniformInt(0, 99);
+    if (roll < 15) {
+      s.cancel(handles[static_cast<std::size_t>(rng.uniformInt(0, id))]);
+    } else if (roll < 20) {
+      s.cancel(handles[static_cast<std::size_t>(id)]);  // self-cancel: a no-op
+    }
+    if (fired.size() == kStopAfter) s.stop();
+  }
+
+  void run() {
+    Rng rng{seed};
+    for (int i = 0; i < 400; ++i) scheduleRandom(rng);
+    seriesFirst = s.reserveSeries(EventKind::Traffic, kSeriesLength,
+                                  [i = 0]() mutable { return seriesAt(i++); });
+    armSeries();
+    for (int i = 0; i < 10; ++i) s.cancel(handles[static_cast<std::size_t>(i * 37)]);
+    s.run(Time::milliseconds(5));
+    stops.push_back(s.now());
+    for (int i = 0; i < 100; ++i) scheduleRandom(rng);
+    s.run();  // stopped after kStopAfter events
+    stops.push_back(s.now());
+    s.run();
+    stops.push_back(s.now());
+  }
+};
+
+TEST(Scheduler, LanesFireInHeapOrder) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Mix<Scheduler> laned{seed, EventKind::LinkDelivery};
+    Mix<OracleScheduler> oracle{seed, EventKind::LinkDelivery};
+    laned.run();
+    oracle.run();
+    ASSERT_EQ(laned.fired, oracle.fired) << "seed " << seed;
+    EXPECT_EQ(laned.stops, oracle.stops);
+    ASSERT_EQ(laned.stops.size(), 3u);
+    EXPECT_EQ(laned.stops[0], Time::milliseconds(5));  // the horizon
+    EXPECT_LT(laned.stops[1], laned.stops[2]);          // stop() left events pending
+    EXPECT_EQ(laned.s.executedEvents(), oracle.s.executedEvents());
+    EXPECT_EQ(laned.s.scheduledEvents(), oracle.s.scheduledEvents());
+    EXPECT_EQ(laned.s.cancelledEvents(), oracle.s.cancelledEvents());
+    EXPECT_EQ(laned.s.pendingEvents(), 0u);
+    EXPECT_GT(laned.s.cancelledEvents(), 100u);
+    EXPECT_EQ(laned.handles.size(), static_cast<std::size_t>(Mix<Scheduler>::kMaxEvents));
+    // Both paths ran: lanes were rebound after the first binding, and some
+    // link events found every lane holding another delay.
+    const std::uint64_t linkEvents = laned.s.kindStats(EventKind::LinkDelivery).scheduled;
+    EXPECT_GT(laned.s.laneRebinds(), Scheduler::kLanes);
+    EXPECT_GT(laned.s.laneEvents(), linkEvents / 2);
+    EXPECT_LT(laned.s.laneEvents(), linkEvents);
+  }
+}
+
+TEST(Scheduler, LaneCountsMatchHeap) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Mix<Scheduler> laned{seed, EventKind::LinkDelivery};
+    Mix<Scheduler> heap{seed, EventKind::Generic};  // no lane takes a Generic event
+    laned.run();
+    heap.run();
+    ASSERT_EQ(laned.fired, heap.fired);
+    EXPECT_EQ(heap.s.laneEvents(), 0u);
+    EXPECT_EQ(laned.s.executedEvents(), heap.s.executedEvents());
+    EXPECT_EQ(laned.s.scheduledEvents(), heap.s.scheduledEvents());
+    EXPECT_EQ(laned.s.cancelledEvents(), heap.s.cancelledEvents());
+    EXPECT_EQ(laned.s.poolCapacity(), heap.s.poolCapacity());
+    const auto same = [](const Scheduler::KindStats& a, const Scheduler::KindStats& b) {
+      return a.scheduled == b.scheduled && a.executed == b.executed &&
+             a.delayHisto == b.delayHisto;
+    };
+    EXPECT_TRUE(same(laned.s.kindStats(EventKind::LinkDelivery),
+                     heap.s.kindStats(EventKind::Generic)));
+    EXPECT_EQ(laned.s.kindStats(EventKind::Generic).scheduled, 0u);
+    EXPECT_EQ(heap.s.kindStats(EventKind::LinkDelivery).scheduled, 0u);
+    for (const EventKind kind : {EventKind::Protocol, EventKind::Transport, EventKind::Traffic}) {
+      EXPECT_TRUE(same(laned.s.kindStats(kind), heap.s.kindStats(kind))) << toString(kind);
+    }
+  }
 }
 
 }  // namespace

@@ -51,9 +51,7 @@ class CallbackSink final : public obs::TraceSink {
   CallbackSink(std::uint32_t kinds, std::function<void(const obs::TraceEvent&)> fn)
       : kinds_{kinds}, fn_{std::move(fn)} {}
   [[nodiscard]] std::uint32_t kinds() const override { return kinds_; }
-  void onTraceEvent(const obs::TraceEvent& ev) override {
-    if ((kinds_ & obs::kindBit(ev.kind)) != 0) fn_(ev);
-  }
+  void onTraceEvent(const obs::TraceEvent& ev) override { fn_(ev); }
 
  private:
   std::uint32_t kinds_;

@@ -430,7 +430,7 @@ class LivePrinter final : public obs::TraceSink {
   [[nodiscard]] std::uint32_t kinds() const override { return kinds_; }
 
   void onTraceEvent(const obs::TraceEvent& ev) override {
-    if ((kinds_ & obs::kindBit(ev.kind)) == 0 || ev.t < from_ || ev.t > to_) return;
+    if (ev.t < from_ || ev.t > to_) return;
     const double t = ev.t.toSeconds();
     switch (ev.kind) {
       case obs::TraceKind::RouteChange:
@@ -493,7 +493,8 @@ int main(int argc, char** argv) {
   ScenarioConfig cfg;
   std::optional<double> fromSec;
   std::optional<double> toSec;
-  std::set<std::string> kinds{"rt", "fwd", "drop", "del", "fail", "path"};
+  const std::set<std::string> kAllChannels{"rt", "fwd", "drop", "del", "fail", "path"};
+  std::set<std::string> kinds = kAllChannels;
   std::string recordPath;
   std::string tracePath;
   std::string artifactPath;
@@ -518,7 +519,14 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--kinds=", 0) == 0) {
         kinds.clear();
         std::stringstream list{arg.substr(8)};
-        for (std::string k; std::getline(list, k, ',');) kinds.insert(k);
+        for (std::string k; std::getline(list, k, ',');) {
+          if (kAllChannels.count(k) == 0) {
+            throw std::runtime_error("unknown --kinds channel '" + k +
+                                     "' (channels: rt,fwd,drop,del,fail,path)");
+          }
+          kinds.insert(k);
+        }
+        if (kinds.empty()) throw std::runtime_error("--kinds needs a channel");
       } else if (arg.rfind("--record=", 0) == 0) {
         recordPath = pathArg(arg, 9, "--record");
       } else if (arg == "--selftest") {
