@@ -28,8 +28,8 @@ RunResult summarizeRun(Scenario& scenario) {
   r.dataAfterFailure = stats.dataAfterWatermark();
   r.control = stats.control();
   r.loopEscapedDeliveries = stats.loopEscapedDeliveries();
-  r.controlMessages = stats.controlMessages();
-  r.controlBytes = stats.controlBytes();
+  r.controlMessages = stats.tally().controlMessages;
+  r.controlBytes = stats.tally().controlBytes;
   r.controlMessagesAfterFailure = stats.controlMessagesAfterWatermark();
   for (const auto& flow : scenario.flows()) {
     if (flow.tcp) {

@@ -135,18 +135,19 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_{cfg}, rng_{cfg.seed} {
 
   // Instrumentation watches flow 0 (the paper's single pair). Every
   // observer is a sink on the network's tracer, attached in a fixed order:
-  // stats first, because it feeds the run's one live PathWalker, which the
-  // anatomy analyzer reads; then the analyzer; then the invariant checker
-  // (opt-in: config flag or env var); external sinks come last.
+  // stats first, because it keeps the run's one tally and its one live
+  // PathWalker, which the anatomy analyzer reads; then the analyzer; then
+  // the invariant checker (opt-in: config flag or env var); external sinks
+  // come last.
   stats_ = std::make_unique<StatsCollector>(
-      *net_, StatsCollector::Config{flows_[0].sender, flows_[0].receiver});
+      net_->nodeCount(),
+      StatsCollector::Config{flows_[0].sender, flows_[0].receiver, cfg_.endAt});
   stats_->setFailureWatermark(cfg_.failureWatermark());
   net_->trace().addSink(stats_.get());
   // Streaming convergence anatomy: observe-only, so every digest is the
   // same with it on or off.
   if (cfg_.anatomy) {
-    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(
-        net_->nodeCount(), stats_->pathWalker(), net_->trace());
+    anatomy_ = std::make_unique<obs::ConvergenceAnalyzer>(*stats_, net_->trace());
     net_->trace().addSink(anatomy_.get());
   }
   if (cfg_.checkInvariants || envInvariantsEnabled()) {

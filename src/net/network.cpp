@@ -33,9 +33,14 @@ Link* Network::findLink(NodeId a, NodeId b) const {
 
 bool Network::visitedTwice(const Packet& p) {
   if (p.trace == nullptr) return false;
-  std::vector<NodeId> hops = *p.trace;
-  std::sort(hops.begin(), hops.end());
-  return std::adjacent_find(hops.begin(), hops.end()) != hops.end();
+  if (visitMark_.size() < nodes_.size()) visitMark_.resize(nodes_.size(), 0);
+  ++visitEpoch_;
+  for (const NodeId hop : *p.trace) {
+    std::uint64_t& mark = visitMark_[static_cast<std::size_t>(hop)];
+    if (mark == visitEpoch_) return true;
+    mark = visitEpoch_;
+  }
+  return false;
 }
 
 void Network::finalize(bool ecmp) {

@@ -114,8 +114,9 @@ class Network {
 
  private:
   /// Did the packet's hop record visit some node twice (it escaped a
-  /// loop)? False without a hop record.
-  [[nodiscard]] static bool visitedTwice(const Packet& p);
+  /// loop)? False without a hop record. Marks each hop in visitMark_ with
+  /// a fresh epoch, so the test neither copies nor sorts the record.
+  [[nodiscard]] bool visitedTwice(const Packet& p);
 
   Scheduler& sched_;
   Rng rng_;
@@ -125,6 +126,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::uint64_t nextPacketId_ = 1;
+  std::vector<std::uint64_t> visitMark_;  ///< per node: epoch of the last visitedTwice mark
+  std::uint64_t visitEpoch_ = 0;
 };
 
 }  // namespace rcsim

@@ -1,7 +1,5 @@
 #include "obs/anatomy.hpp"
 
-#include "net/types.hpp"
-
 namespace rcsim::obs {
 
 namespace {
@@ -14,13 +12,23 @@ bool isTrigger(TraceKind kind) {
          kind == TraceKind::LinkUp;
 }
 
-/// Per-node control accounting is sized up front; empty for walk-less
-/// traces (node count unknown).
-AnatomyReport emptyReport(std::size_t nodeCount) {
-  AnatomyReport r;
-  r.perNodeControlMessages.assign(nodeCount, 0);
-  r.perNodeControlBytes.assign(nodeCount, 0);
-  return r;
+/// Bill `out` (an episode or the whole-run report) the data-plane fates
+/// and control messages the tally counted between `from` and `to`. A TTL
+/// expiry while the walked path loops is a loop drop, any other TTL expiry
+/// is plain TTL; NoRoute is the black-hole signature.
+template <class Out>
+void bill(Out& out, const StatsCollector::Tally& from, const StatsCollector::Tally& to) {
+  const PacketCounters& a = from.data;
+  const PacketCounters& b = to.data;
+  out.delivered = b.delivered - a.delivered;
+  out.dropsLoop = to.dropTtlInLoop - from.dropTtlInLoop;
+  out.dropsTtl = b.dropTtl - a.dropTtl - out.dropsLoop;
+  out.dropsBlackhole = b.dropNoRoute - a.dropNoRoute;
+  out.dropsQueue = b.dropQueue - a.dropQueue;
+  out.dropsOther = (b.totalDropped() - a.totalDropped()) -
+                   (b.dropTtl - a.dropTtl + out.dropsBlackhole + out.dropsQueue);
+  out.controlMessages = to.controlMessages - from.controlMessages;
+  out.controlBytes = to.controlBytes - from.controlBytes;
 }
 
 }  // namespace
@@ -94,17 +102,26 @@ AnatomySummary AnatomyReport::summary() const {
   return s;
 }
 
-ConvergenceAnalyzer::ConvergenceAnalyzer(const ReplayOptions& opt)
-    : ownWalker_{std::make_unique<PathWalker>(opt.src, opt.dst, opt.nodeCount)},
-      walker_{ownWalker_.get()},
-      report_{emptyReport(opt.nodeCount)} {}
-
-ConvergenceAnalyzer::ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker,
-                                         const Tracer& tracer)
-    : walker_{&walker}, tracer_{&tracer}, report_{emptyReport(nodeCount)} {}
+ConvergenceAnalyzer::ConvergenceAnalyzer(const StatsCollector& tally, const Tracer& tracer)
+    : tally_{tally}, tracer_{tracer} {}
 
 void ConvergenceAnalyzer::onTraceEvent(const TraceEvent& ev) {
-  if (!finished_) analyze(ev);
+  if (finished_) return;
+  if (isTrigger(ev.kind)) openEpisode(ev);
+  ConvergenceEpisode* ep = episodeOpen_ ? &report_.episodes.back() : nullptr;
+  if (ev.kind == TraceKind::RouteChange) {
+    if (ep != nullptr) {
+      if (ep->detectAt == Time::infinity()) ep->detectAt = ev.t;
+      if (ep->firstRouteChangeAt == Time::infinity()) ep->firstRouteChangeAt = ev.t;
+      ep->lastRouteChangeAt = ev.t;
+      ++ep->routeChanges;
+    }
+    // The collector walked this change before us.
+    const auto& paths = tally_.pathWalker().events();
+    while (pathsSeen_ < paths.size()) recordPath(paths[pathsSeen_++]);
+  } else if (ev.kind == TraceKind::AdjDown) {
+    if (ep != nullptr && ep->detectAt == Time::infinity()) ep->detectAt = ev.t;
+  }
 }
 
 void ConvergenceAnalyzer::openEpisode(const TraceEvent& ev) {
@@ -120,6 +137,7 @@ void ConvergenceAnalyzer::openEpisode(const TraceEvent& ev) {
   e.trigger = ev.kind;
   e.triggerCount = 1;
   report_.episodes.push_back(e);
+  marks_.push_back(tally_.tally());
   episodeOpen_ = true;
 }
 
@@ -153,117 +171,52 @@ void ConvergenceAnalyzer::foldWindow(bool on, Time t, OpenWindow& state,
   state.owner = kNoOwner;
 }
 
-void ConvergenceAnalyzer::analyze(const TraceEvent& ev) {
-  if (tracer_ == nullptr) ++report_.kindCounts[static_cast<std::size_t>(ev.kind)];
-
-  if (isTrigger(ev.kind)) openEpisode(ev);
-  ConvergenceEpisode* ep = episodeOpen_ ? &report_.episodes.back() : nullptr;
-
-  switch (ev.kind) {
-    case TraceKind::RouteChange: {
-      if (ep != nullptr) {
-        if (ep->detectAt == Time::infinity()) ep->detectAt = ev.t;
-        if (ep->firstRouteChangeAt == Time::infinity()) ep->firstRouteChangeAt = ev.t;
-        ep->lastRouteChangeAt = ev.t;
-        ++ep->routeChanges;
-      }
-      if (ownWalker_) {
-        // A dst beyond NodeId's range is as corrupt as one beyond N, which
-        // the walker rejects.
-        const NodeId dst = ev.x == static_cast<NodeId>(ev.x) ? static_cast<NodeId>(ev.x)
-                                                             : kInvalidNode;
-        ownWalker_->onRouteChange(ev.t, ev.a, dst, static_cast<NodeId>(ev.z));
-      }
-      // A live walker was fed this change by the sink ahead of us.
-      const auto& paths = walker_->events();
-      while (pathsSeen_ < paths.size()) recordPath(paths[pathsSeen_++]);
-      break;
-    }
-    case TraceKind::AdjDown:
-      if (ep != nullptr && ep->detectAt == Time::infinity()) ep->detectAt = ev.t;
-      break;
-    case TraceKind::Deliver:
-      ++report_.delivered;
-      if (ep != nullptr) ++ep->delivered;
-      break;
-    case TraceKind::Drop: {
-      if (ev.z != 1) break;  // data packets only; z flags the plane
-      ++report_.dropped;
-      std::uint64_t ConvergenceEpisode::* field = &ConvergenceEpisode::dropsOther;
-      std::uint64_t AnatomyReport::* total = &AnatomyReport::dropsOther;
-      switch (static_cast<DropReason>(ev.y)) {
-        case DropReason::TtlExpired:
-          // A TTL death while the traced path loops is the loop's kill;
-          // outside a loop window it is a plain TTL drop.
-          field = loop_.open ? &ConvergenceEpisode::dropsLoop : &ConvergenceEpisode::dropsTtl;
-          total = loop_.open ? &AnatomyReport::dropsLoop : &AnatomyReport::dropsTtl;
-          break;
-        case DropReason::NoRoute:
-          field = &ConvergenceEpisode::dropsBlackhole;
-          total = &AnatomyReport::dropsBlackhole;
-          break;
-        case DropReason::QueueOverflow:
-          field = &ConvergenceEpisode::dropsQueue;
-          total = &AnatomyReport::dropsQueue;
-          break;
-        default: break;
-      }
-      ++(report_.*total);
-      if (ep != nullptr) ++(ep->*field);
-      break;
-    }
-    case TraceKind::ControlSend:
-      ++report_.controlMessages;
-      report_.controlBytes += static_cast<std::uint64_t>(ev.x);
-      if (static_cast<std::size_t>(ev.a) < report_.perNodeControlMessages.size()) {
-        ++report_.perNodeControlMessages[static_cast<std::size_t>(ev.a)];
-        report_.perNodeControlBytes[static_cast<std::size_t>(ev.a)] +=
-            static_cast<std::uint64_t>(ev.x);
-      }
-      if (ep != nullptr) {
-        ++ep->controlMessages;
-        ep->controlBytes += static_cast<std::uint64_t>(ev.x);
-      }
-      break;
-    case TraceKind::HelloSend:
-      ++report_.helloMessages;
-      report_.helloBytes += static_cast<std::uint64_t>(ev.x);
-      if (static_cast<std::size_t>(ev.a) < report_.perNodeControlMessages.size()) {
-        ++report_.perNodeControlMessages[static_cast<std::size_t>(ev.a)];
-        report_.perNodeControlBytes[static_cast<std::size_t>(ev.a)] +=
-            static_cast<std::uint64_t>(ev.x);
-      }
-      break;
-    case TraceKind::DvTriggered:
-      ++report_.dvTriggered;
-      if (ep != nullptr) ++ep->dvTriggered;
-      break;
-    case TraceKind::DvPeriodic: ++report_.dvPeriodic; break;
-    case TraceKind::MraiArm:
-      ++report_.mraiArmed;
-      if (ep != nullptr) ++ep->mraiDeferred;
-      break;
-    case TraceKind::MraiFire: ++report_.mraiFired; break;
-    default: break;
-  }
-}
-
 void ConvergenceAnalyzer::finish() {
   if (finished_) return;
   finished_ = true;
-  if (tracer_ != nullptr) report_.kindCounts = tracer_->kindCounts();
+  report_.kindCounts = tracer_.kindCounts();
   if (loop_.open && loop_.owner != kNoOwner) report_.episodes[loop_.owner].loopOpenAtEnd = true;
   if (blackhole_.open && blackhole_.owner != kNoOwner) {
     report_.episodes[blackhole_.owner].blackholeOpenAtEnd = true;
   }
   episodeOpen_ = false;
+
+  // Episodes tile the stream from the first trigger on: each is billed
+  // what the tally counted up to the next episode's trigger.
+  const StatsCollector::Tally& end = tally_.tally();
+  for (std::size_t i = 0; i < report_.episodes.size(); ++i) {
+    ConvergenceEpisode& e = report_.episodes[i];
+    const StatsCollector::Tally& from = marks_[i];
+    const StatsCollector::Tally& to = i + 1 < marks_.size() ? marks_[i + 1] : end;
+    bill(e, from, to);
+    e.mraiDeferred = to.mraiArmed - from.mraiArmed;
+    e.dvTriggered = to.dvTriggered - from.dvTriggered;
+  }
+  bill(report_, StatsCollector::Tally{}, end);
+  report_.dropped = end.data.totalDropped();
+  report_.helloMessages = end.helloMessages;
+  report_.helloBytes = end.helloBytes;
+  report_.dvTriggered = end.dvTriggered;
+  report_.dvPeriodic = end.dvPeriodic;
+  report_.mraiArmed = end.mraiArmed;
+  report_.mraiFired = end.mraiFired;
+  report_.perNodeControlMessages = tally_.perNodeControlMessages();
+  report_.perNodeControlBytes = tally_.perNodeControlBytes();
 }
 
 AnatomyReport analyzeTrace(const std::vector<TraceEvent>& events, const ReplayOptions& opt) {
-  ConvergenceAnalyzer analyzer{opt};
-  for (const auto& ev : events) analyzer.onTraceEvent(ev);
+  StatsCollector tally{opt.nodeCount, StatsCollector::Config{opt.src, opt.dst}};
+  Tracer tracer;
+  tracer.addSink(&tally);
+  ConvergenceAnalyzer analyzer{tally, tracer};
+  tracer.addSink(&analyzer);
+  for (const auto& ev : events) tracer.emit(ev);
   analyzer.finish();
-  return analyzer.report();
+  AnatomyReport report = analyzer.report();
+  // The tracer counted only the kinds its two sinks take.
+  report.kindCounts = {};
+  for (const auto& ev : events) ++report.kindCounts[static_cast<std::size_t>(ev.kind)];
+  return report;
 }
 
 }  // namespace rcsim::obs

@@ -5,30 +5,33 @@
 // per-cause drops) computed *during* the run from the live TraceEvent
 // stream, instead of offline from a recorded trace file.
 //
-// The ConvergenceAnalyzer is a TraceSink on the network's Tracer, beside
-// the stats collector, the invariant checker and any recorder (a
+// The ConvergenceAnalyzer is a TraceSink on the network's Tracer, after
+// the StatsCollector and beside the invariant checker and any recorder (a
 // FileTraceSink, the fuzzer's MemoryTraceSink); a recorded trace holds
-// every event the analyzer saw, each event in the same order. It
-// is an independent implementation of the reconstruction in
-// obs/replay.hpp — the two cross-check each other element-wise through
-// replayDivergence (core/experiment.hpp) on every golden scenario, in
-// `rcsim-trace --selftest` and on every fuzzer execution (RunStatus::
-// AnatomyDivergence), which is what lets either be trusted.
+// every event the analyzer saw, each event in the same order. It keeps
+// episodes (triggers, detection, route churn, loop/black-hole windows) and
+// no counters: the collector's Tally is the run's one count of packet fates
+// and control messages, and the analyzer bills each episode the difference
+// between the tally snapshots taken at its trigger and at the next one (or
+// at finish()). Its window reconstruction is an independent implementation
+// of the one in obs/replay.hpp — the two cross-check each other
+// element-wise through replayDivergence (core/experiment.hpp) on every
+// golden scenario, in `rcsim-trace --selftest` and on every fuzzer
+// execution (RunStatus::AnatomyDivergence), which is what lets either be
+// trusted.
 //
 // Where replay.cpp keeps a dense N x N shadow FIB and re-walks on every
-// RouteChange, the analyzer reads a PathWalker (obs/path_walk.hpp), which
-// keeps only the receiver's FIB column and re-walks only when that column
-// changes — O(N) memory and far fewer walks, with identical output. In a
-// live run that walker is the StatsCollector's, fed once per change.
+// RouteChange, the analyzer reads the collector's PathWalker
+// (obs/path_walk.hpp), which keeps only the receiver's FIB column and
+// re-walks only when that column changes — O(N) memory and far fewer
+// walks, with identical output.
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "obs/path_walk.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
+#include "stats/collector.hpp"
 
 namespace rcsim::obs {
 
@@ -170,52 +173,41 @@ struct AnatomyReport {
   [[nodiscard]] AnatomySummary summary() const;
 };
 
-/// Streaming convergence-anatomy profiler. Feed it the trace stream (as a
-/// Tracer sink, or via analyzeTrace below), call finish() once at end of
-/// stream, read report().
+/// Streaming convergence-anatomy profiler. Attach it to a Tracer after
+/// the StatsCollector it reads, call finish() once at end of stream, read
+/// report().
 class ConvergenceAnalyzer : public TraceSink {
  public:
-  /// `opt` carries the traced flow (src, dst) and the node count — the
-  /// same triple replayTrace needs, from the same place (trace meta /
-  /// Scenario). With an unusable triple the path walk is disabled and
-  /// only counting/accounting runs, exactly like replayTrace. This form
-  /// owns its walker and feeds it (offline analysis).
-  explicit ConvergenceAnalyzer(const ReplayOptions& opt);
+  /// Cut `tally`'s counts into episodes and fold its walker's path events
+  /// into windows. `tally` sits ahead of this analyzer on `tracer`, so it
+  /// has counted each event, and walked each RouteChange, before this
+  /// analyzer sees it. The tracer hands this analyzer only its kKinds, so
+  /// finish() takes report().kindCounts from the tracer's count of every
+  /// event it emitted.
+  ConvergenceAnalyzer(const StatsCollector& tally, const Tracer& tracer);
 
-  /// Live form: read the path events of `walker`, which a sink ahead of
-  /// this one on `tracer` (the StatsCollector) feeds with each RouteChange
-  /// before this analyzer sees it. The tracer hands this analyzer only its
-  /// kKinds, so finish() takes report().kindCounts from the tracer's
-  /// count of every event it emitted.
-  ConvergenceAnalyzer(std::size_t nodeCount, const PathWalker& walker, const Tracer& tracer);
-
-  /// The kinds analyze() consumes: episode triggers, detection and route
-  /// events, data-plane fates (deliver/drop), and control-plane
-  /// accounting. Per-hop forwards and originations are left out, so a run
-  /// that records nothing never builds them for the analyzer's sake, and
-  /// one that records them does not hand them to the analyzer;
-  /// report().kindCounts counts whatever the Tracer emitted, which with a
-  /// recorder attached is the full stream.
+  /// The kinds onTraceEvent() consumes: episode triggers, detection and
+  /// route events. Packet fates and control-plane activity reach the
+  /// report through the tally, so a run that records nothing never builds
+  /// any other kind for the analyzer's sake; report().kindCounts counts
+  /// whatever the Tracer emitted, which with a recorder attached is the
+  /// full stream.
   static constexpr std::uint32_t kKinds =
       kindBit(TraceKind::FaultApply) | kindBit(TraceKind::LinkDown) |
       kindBit(TraceKind::LinkUp) | kindBit(TraceKind::AdjDown) |
-      kindBit(TraceKind::RouteChange) | kindBit(TraceKind::Deliver) |
-      kindBit(TraceKind::Drop) | kindBit(TraceKind::ControlSend) |
-      kindBit(TraceKind::HelloSend) | kindBit(TraceKind::DvTriggered) |
-      kindBit(TraceKind::DvPeriodic) | kindBit(TraceKind::MraiArm) |
-      kindBit(TraceKind::MraiFire);
+      kindBit(TraceKind::RouteChange);
   [[nodiscard]] std::uint32_t kinds() const override { return kKinds; }
 
   void onTraceEvent(const TraceEvent& ev) override;
 
-  /// Close the open episode/windows. Idempotent; call after the last event.
+  /// Close the open episode/windows and bill the episodes and the whole
+  /// run from the tally. Idempotent; call after the last event.
   void finish();
   [[nodiscard]] bool finished() const { return finished_; }
 
   [[nodiscard]] const AnatomyReport& report() const { return report_; }
 
  private:
-  void analyze(const TraceEvent& ev);
   void openEpisode(const TraceEvent& ev);
   static constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
 
@@ -231,23 +223,24 @@ class ConvergenceAnalyzer : public TraceSink {
   void foldWindow(bool on, Time t, OpenWindow& state, std::vector<ReplayWindow>& windows,
                   int ConvergenceEpisode::*count, double ConvergenceEpisode::*seconds);
 
-  std::unique_ptr<PathWalker> ownWalker_;  ///< offline form only
-  const PathWalker* walker_;
-  const Tracer* tracer_ = nullptr;  ///< live form only: keeps the kind counts
+  const StatsCollector& tally_;
+  const Tracer& tracer_;
   std::size_t pathsSeen_ = 0;  ///< walker events already folded into report_
   bool finished_ = false;
 
   bool episodeOpen_ = false;
+  std::vector<StatsCollector::Tally> marks_;  ///< the tally at each episode's trigger
   OpenWindow loop_;
   OpenWindow blackhole_;
 
   AnatomyReport report_;
 };
 
-/// Offline entry point: run the streaming analyzer over a recorded event
-/// list. The trace tool's file modes and replayDivergence both go through
-/// this, so "a query on a recorded trace" and "the live run's analyzer"
-/// are the same code over the same events — equal by construction.
+/// Offline entry point: run a StatsCollector and the streaming analyzer
+/// over a recorded event list; kindCounts counts every event in it. The
+/// trace tool's file modes and replayDivergence both go through this, so
+/// "a query on a recorded trace" and "the live run's analyzer" are the
+/// same code over the same events — equal by construction.
 [[nodiscard]] AnatomyReport analyzeTrace(const std::vector<TraceEvent>& events,
                                          const ReplayOptions& opt);
 

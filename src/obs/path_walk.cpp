@@ -22,7 +22,8 @@ const std::vector<NodeId>& PathWalker::currentPath() const {
 
 const ReplayPathEvent* PathWalker::onRouteChange(Time t, NodeId node, NodeId dst, NodeId newNh) {
   if (!walkable_) return nullptr;
-  if (static_cast<std::size_t>(node) >= nodeCount_ || static_cast<std::size_t>(dst) >= nodeCount_) {
+  if (static_cast<std::size_t>(node) >= nodeCount_ || static_cast<std::size_t>(dst) >= nodeCount_ ||
+      (newNh != kInvalidNode && static_cast<std::size_t>(newNh) >= nodeCount_)) {
     // Same contract (and text) as replayTrace.
     throw std::runtime_error("trace replay: RouteChange references a node outside 0..N-1");
   }

@@ -10,9 +10,9 @@
 // exception is the very first route change, which always records a path
 // (the dedup list is still empty), so it always walks.
 //
-// A live run has exactly one, owned and fed by the StatsCollector; the
-// ConvergenceAnalyzer reads it, and owns its own only for offline
-// analysis (analyzeTrace). The independent oracle is obs/replay.cpp, which re-walks a full shadow FIB
+// Every analysis has exactly one, owned and fed by the StatsCollector; the
+// ConvergenceAnalyzer reads it, live and in analyzeTrace alike. The
+// independent oracle is obs/replay.cpp, which re-walks a full shadow FIB
 // on every change; tests pin the two element-wise equal, and pin the live
 // walker to Network::fibWalk at every route change.
 
@@ -35,7 +35,8 @@ class PathWalker {
 
   /// Apply one route change. Returns the path event it recorded, or null
   /// when the path did not change. Throws std::runtime_error when a
-  /// walkable walker sees a node outside 0..nodeCount-1 (a corrupt trace).
+  /// walkable walker sees a node, or a next hop other than kInvalidNode,
+  /// outside 0..nodeCount-1 (a corrupt trace).
   const ReplayPathEvent* onRouteChange(Time t, NodeId node, NodeId dst, NodeId newNh);
 
   /// Every distinct path in order, each stamped with the change that made it.

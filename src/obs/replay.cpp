@@ -82,10 +82,12 @@ ReplayResult replayTrace(const std::vector<TraceEvent>& events, const ReplayOpti
         if (!walkable) break;
         const auto node = static_cast<std::size_t>(ev.a);
         const auto dst = static_cast<std::size_t>(ev.x);
-        if (node >= opt.nodeCount || dst >= opt.nodeCount) {
+        const auto newNh = static_cast<NodeId>(ev.z);
+        if (node >= opt.nodeCount || dst >= opt.nodeCount ||
+            (newNh != kInvalidNode && static_cast<std::size_t>(newNh) >= opt.nodeCount)) {
           throw std::runtime_error("trace replay: RouteChange references a node outside 0..N-1");
         }
-        fib[node][dst] = static_cast<NodeId>(ev.z);
+        fib[node][dst] = newNh;
         bool loop = false;
         bool blackhole = false;
         auto path = shadowWalk(fib, opt.src, opt.dst, &loop, &blackhole);

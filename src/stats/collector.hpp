@@ -1,8 +1,13 @@
 #pragma once
 
-#include <algorithm>
+// The run's one tally: every packet fate, control message, hello, DV send
+// and MRAI timer the trace stream reports is counted here, once. RunResult
+// reads the tally directly; the convergence analyzer (obs/anatomy.hpp)
+// keeps no counters of its own and cuts this tally into episodes by
+// differencing snapshots of it.
+
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "net/types.hpp"
 #include "obs/path_walk.hpp"
@@ -11,8 +16,6 @@
 #include "stats/timeseries.hpp"
 
 namespace rcsim {
-
-class Network;
 
 /// Packet-event tallies, split by cause. Data and control planes are
 /// counted separately so routing messages don't pollute Figure 3/4 numbers.
@@ -33,36 +36,58 @@ struct PacketCounters {
   }
 };
 
-/// One-stop instrumentation: a TraceSink that feeds the counters, time
-/// series, route-change log and the sender→receiver path walk. Attach it to
-/// the network's tracer ahead of any sink that reads pathWalker() live.
+/// One-stop instrumentation: a TraceSink that feeds the tally, the time
+/// series, the route-change log and the sender→receiver path walk. Attach
+/// it to the network's tracer ahead of any sink that reads it live.
 class StatsCollector final : public obs::TraceSink {
  public:
   struct Config {
     NodeId sender = kInvalidNode;    ///< Data source (start of the walked path).
     NodeId receiver = kInvalidNode;  ///< Data sink.
+    Time end = Time::zero();         ///< The time series covers [0, end).
   };
 
-  StatsCollector(const Network& net, Config cfg);
+  /// The whole-run counts, as one plain value: the convergence analyzer
+  /// snapshots it at each episode trigger and bills an episode the
+  /// difference to the next snapshot.
+  struct Tally {
+    PacketCounters data;
+    /// Data TTL drops while the walked sender→receiver path loops: the
+    /// loop's kills, a subset of data.dropTtl.
+    std::uint64_t dropTtlInLoop = 0;
+    std::uint64_t controlMessages = 0;  ///< every control payload handed to a link
+    std::uint64_t controlBytes = 0;
+    std::uint64_t helloMessages = 0;
+    std::uint64_t helloBytes = 0;
+    std::uint64_t dvTriggered = 0;  ///< triggered-update flushes
+    std::uint64_t dvPeriodic = 0;
+    std::uint64_t mraiArmed = 0;
+    std::uint64_t mraiFired = 0;
+  };
+
+  /// `nodeCount` sizes the path walk and the per-node control counts.
+  StatsCollector(std::size_t nodeCount, Config cfg);
 
   static constexpr std::uint32_t kKinds =
       obs::kindBit(obs::TraceKind::Drop) | obs::kindBit(obs::TraceKind::Forward) |
       obs::kindBit(obs::TraceKind::Deliver) | obs::kindBit(obs::TraceKind::RouteChange) |
-      obs::kindBit(obs::TraceKind::ControlSend);
+      obs::kindBit(obs::TraceKind::ControlSend) | obs::kindBit(obs::TraceKind::HelloSend) |
+      obs::kindBit(obs::TraceKind::DvTriggered) | obs::kindBit(obs::TraceKind::DvPeriodic) |
+      obs::kindBit(obs::TraceKind::MraiArm) | obs::kindBit(obs::TraceKind::MraiFire);
   [[nodiscard]] std::uint32_t kinds() const override { return kKinds; }
   void onTraceEvent(const obs::TraceEvent& ev) override;
 
   /// Set the failure watermark on all sub-collectors.
   void setFailureWatermark(Time t);
 
-  [[nodiscard]] const PacketCounters& data() const { return data_; }
+  [[nodiscard]] const Tally& tally() const { return tally_; }
+  [[nodiscard]] const PacketCounters& data() const { return tally_.data; }
   [[nodiscard]] const PacketCounters& control() const { return control_; }
   [[nodiscard]] const TimeSeries& series() const { return series_; }
   [[nodiscard]] const RouteChangeLog& routeLog() const { return routeLog_; }
-  [[nodiscard]] RouteChangeLog& routeLog() { return routeLog_; }
   /// The sender→receiver forwarding path across route changes (Figure 6a,
   /// transient paths, loops). Records nothing without both endpoints. The
-  /// run's one live walker: the convergence analyzer reads it too.
+  /// run's one walker: the convergence analyzer reads it too.
   [[nodiscard]] const obs::PathWalker& pathWalker() const { return walker_; }
 
   /// Data packets dropped at/after the watermark, by reason (the paper's
@@ -72,18 +97,26 @@ class StatsCollector final : public obs::TraceSink {
   /// Delivered packets that had visited some node twice (escaped a loop).
   [[nodiscard]] std::uint64_t loopEscapedDeliveries() const { return loopEscaped_; }
 
-  /// Routing-load accounting (every control payload handed to a link).
-  [[nodiscard]] std::uint64_t controlMessages() const { return controlMessages_; }
-  [[nodiscard]] std::uint64_t controlBytes() const { return controlBytes_; }
+  /// Control messages handed to a link at/after the watermark.
   [[nodiscard]] std::uint64_t controlMessagesAfterWatermark() const {
     return controlMessagesAfter_;
+  }
+
+  /// Control messages and bytes (hellos included) billed to their sender,
+  /// indexed by node; senders outside 0..nodeCount-1 are not billed.
+  [[nodiscard]] const std::vector<std::uint64_t>& perNodeControlMessages() const {
+    return perNodeMessages_;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& perNodeControlBytes() const {
+    return perNodeBytes_;
   }
 
  private:
   void onDrop(const obs::TraceEvent& ev);
   void onDeliver(const obs::TraceEvent& ev);
+  void billSender(const obs::TraceEvent& ev);
 
-  PacketCounters data_;
+  Tally tally_;
   PacketCounters dataAfter_;
   PacketCounters control_;
   TimeSeries series_;
@@ -91,9 +124,9 @@ class StatsCollector final : public obs::TraceSink {
   obs::PathWalker walker_;
   Time watermark_ = Time::infinity();
   std::uint64_t loopEscaped_ = 0;
-  std::uint64_t controlMessages_ = 0;
-  std::uint64_t controlBytes_ = 0;
   std::uint64_t controlMessagesAfter_ = 0;
+  std::vector<std::uint64_t> perNodeMessages_;
+  std::vector<std::uint64_t> perNodeBytes_;
 };
 
 }  // namespace rcsim

@@ -9,22 +9,27 @@ namespace rcsim {
 
 /// Per-second buckets of delivery statistics, the raw material of the
 /// paper's Figure 5 (instantaneous throughput) and Figure 7 (instantaneous
-/// packet delay).
+/// packet delay). The buckets cover [0, end) and are sized up front;
+/// deliveries outside it are not bucketed, so a corrupt trace time cannot
+/// grow the series.
 class TimeSeries {
  public:
   struct Bucket {
     std::uint32_t delivered = 0;
-    double delaySum = 0.0;            ///< seconds, over delivered packets
-    std::uint32_t loopedDelivered = 0;  ///< delivered after escaping a loop
-    std::uint64_t hopSum = 0;
+    double delaySum = 0.0;  ///< seconds, over delivered packets
   };
 
-  void recordDelivery(Time t, double delaySec, bool looped, std::size_t hops) {
-    auto& b = bucketAt(t);
+  explicit TimeSeries(Time end)
+      : buckets_(end > Time::zero() ? static_cast<std::size_t>((end.ns() - 1) / kNsPerSec + 1)
+                                    : 0) {}
+
+  void recordDelivery(Time t, double delaySec) {
+    if (t < Time::zero()) return;
+    const auto sec = static_cast<std::size_t>(t.ns() / kNsPerSec);
+    if (sec >= buckets_.size()) return;
+    auto& b = buckets_[sec];
     ++b.delivered;
     b.delaySum += delaySec;
-    if (looped) ++b.loopedDelivered;
-    b.hopSum += hops;
   }
 
   [[nodiscard]] const Bucket& bucket(int second) const {
@@ -32,8 +37,6 @@ class TimeSeries {
     const auto i = static_cast<std::size_t>(second);
     return second >= 0 && i < buckets_.size() ? buckets_[i] : kEmpty;
   }
-
-  [[nodiscard]] int size() const { return static_cast<int>(buckets_.size()); }
 
   [[nodiscard]] double throughputAt(int second) const {
     return static_cast<double>(bucket(second).delivered);
@@ -46,11 +49,7 @@ class TimeSeries {
   }
 
  private:
-  Bucket& bucketAt(Time t) {
-    auto sec = static_cast<std::size_t>(t.ns() / 1'000'000'000);
-    if (sec >= buckets_.size()) buckets_.resize(sec + 1);
-    return buckets_[sec];
-  }
+  static constexpr std::int64_t kNsPerSec = 1'000'000'000;
 
   std::vector<Bucket> buckets_;
 };

@@ -627,16 +627,15 @@ TEST(Anatomy, EpisodeSemanticsOnSyntheticStream) {
 }
 
 TEST(Anatomy, SharesStreamVerbatimWithLaterSinks) {
-  // The analyzer and a recorder on one Tracer: the recorder must get every
-  // event unchanged — including events after the analyzer's finish(),
-  // which it no longer analyzes (a recorder must not lose the tail).
-  ReplayOptions opt;
-  opt.src = 0;
-  opt.dst = 1;
-  opt.nodeCount = 2;
-  ConvergenceAnalyzer analyzer{opt};
-  MemoryTraceSink downstream;
+  // The tally, the analyzer and a recorder on one Tracer: the recorder
+  // must get every event unchanged — including events after the
+  // analyzer's finish(), which it no longer analyzes (a recorder must not
+  // lose the tail).
+  StatsCollector tally{2, StatsCollector::Config{0, 1}};
   Tracer tracer;
+  tracer.addSink(&tally);
+  ConvergenceAnalyzer analyzer{tally, tracer};
+  MemoryTraceSink downstream;
   tracer.addSink(&analyzer);
   tracer.addSink(&downstream);
 
@@ -695,6 +694,12 @@ TEST(Anatomy, RouteChangeOutsideNodeCountThrows) {
   events.push_back(
       TraceEvent{Time::seconds(1.0), TraceKind::RouteChange, 5, kInvalidNode, 2, kInvalidNode, 1});
   EXPECT_THROW((void)analyzeTrace(events, opt), std::runtime_error);
+  // A next hop outside 0..N-1 would send the walk off the end of its
+  // tables.
+  events.front() =
+      TraceEvent{Time::seconds(1.0), TraceKind::RouteChange, 0, kInvalidNode, 2, kInvalidNode, 1000};
+  EXPECT_THROW((void)analyzeTrace(events, opt), std::runtime_error);
+  EXPECT_THROW((void)replayTrace(events, opt), std::runtime_error);
 }
 
 TEST(ExecutorMetrics, ProgressCountsReplicas) {

@@ -108,24 +108,38 @@ struct GoldenDigest {
   ProtocolKind protocol;
   std::uint64_t seed;
   const char* digest;
+  const char* anatomy;  ///< anatomyDigest of the run's AnatomySummary
 };
 
 // RunResult digests recorded with the seed (pre-pooling, pre-payload-
 // sharing) engine at degree 4 and default configuration. The rewritten
 // scheduler and the shared-payload send paths must reproduce every run
 // bit for bit — any divergence here means an optimization changed
-// simulation behavior, not just speed.
+// simulation behavior, not just speed. The anatomy digests pin the
+// convergence profiler's summary the same way (they were recorded before
+// the analyzer stopped counting for itself and began cutting the stats
+// collector's tally into episodes).
 constexpr GoldenDigest kSeedDigests[] = {
-    {ProtocolKind::Rip, 1, "778e0e455546c13d"},  {ProtocolKind::Rip, 2, "39f28b0bc6015810"},
-    {ProtocolKind::Rip, 3, "a38ca0a3320edce5"},  {ProtocolKind::Rip, 4, "9d2ef2ba0e96c6f5"},
-    {ProtocolKind::Rip, 5, "0b59d00c62d889d6"},  {ProtocolKind::Dbf, 1, "f12585a56305180c"},
-    {ProtocolKind::Dbf, 2, "37646e4c1e31608e"},  {ProtocolKind::Dbf, 3, "e74c13137a67b985"},
-    {ProtocolKind::Dbf, 4, "e8c1642e01e303d5"},  {ProtocolKind::Dbf, 5, "7b52ea88b3615e44"},
-    {ProtocolKind::Bgp, 1, "94e09cd48c2fccbb"},  {ProtocolKind::Bgp, 2, "40a708a0246c7e3f"},
-    {ProtocolKind::Bgp, 3, "3205204eedf3fb7c"},  {ProtocolKind::Bgp, 4, "02ae1988ed6bbeb6"},
-    {ProtocolKind::Bgp, 5, "105922b16f8f8a23"},  {ProtocolKind::Bgp3, 1, "96959e6bb56bc36a"},
-    {ProtocolKind::Bgp3, 2, "26737ea4bb855578"}, {ProtocolKind::Bgp3, 3, "b16d2082d79e0359"},
-    {ProtocolKind::Bgp3, 4, "8bbad565894eba6d"}, {ProtocolKind::Bgp3, 5, "5b459d241a0ccb3b"},
+    {ProtocolKind::Rip, 1, "778e0e455546c13d", "9afd7907475a5b1f"},
+    {ProtocolKind::Rip, 2, "39f28b0bc6015810", "b6523168d204a6de"},
+    {ProtocolKind::Rip, 3, "a38ca0a3320edce5", "803f58bc626f303c"},
+    {ProtocolKind::Rip, 4, "9d2ef2ba0e96c6f5", "b798abb0f5af7ae3"},
+    {ProtocolKind::Rip, 5, "0b59d00c62d889d6", "5066403e9bb13075"},
+    {ProtocolKind::Dbf, 1, "f12585a56305180c", "2e2618cb472847e5"},
+    {ProtocolKind::Dbf, 2, "37646e4c1e31608e", "0554c5ea249eb1a6"},
+    {ProtocolKind::Dbf, 3, "e74c13137a67b985", "075a91133889d20d"},
+    {ProtocolKind::Dbf, 4, "e8c1642e01e303d5", "ae5651e0a673a205"},
+    {ProtocolKind::Dbf, 5, "7b52ea88b3615e44", "f09f79ca99d5ba06"},
+    {ProtocolKind::Bgp, 1, "94e09cd48c2fccbb", "2fed36ee586e2f84"},
+    {ProtocolKind::Bgp, 2, "40a708a0246c7e3f", "b12f9eeed7da9dd6"},
+    {ProtocolKind::Bgp, 3, "3205204eedf3fb7c", "274829f95b869e23"},
+    {ProtocolKind::Bgp, 4, "02ae1988ed6bbeb6", "c5933303dda9af69"},
+    {ProtocolKind::Bgp, 5, "105922b16f8f8a23", "872e1c197762b9cc"},
+    {ProtocolKind::Bgp3, 1, "96959e6bb56bc36a", "0e4d1b55d12dcdf8"},
+    {ProtocolKind::Bgp3, 2, "26737ea4bb855578", "28a010f98879bb86"},
+    {ProtocolKind::Bgp3, 3, "b16d2082d79e0359", "c18a4634962aeba7"},
+    {ProtocolKind::Bgp3, 4, "8bbad565894eba6d", "5fb977b8c142bae3"},
+    {ProtocolKind::Bgp3, 5, "5b459d241a0ccb3b", "754609e22027857c"},
 };
 
 TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
@@ -145,6 +159,8 @@ TEST(PerfGate, PooledSchedulerMatchesSeedEngineBitForBit) {
     const RunResult r = summarizeRun(sc);
     EXPECT_EQ(runResultDigest(r), g.digest)
         << toString(g.protocol) << " seed " << g.seed << " diverged from the seed engine";
+    EXPECT_EQ(anatomyDigest(r.anatomy), g.anatomy)
+        << toString(g.protocol) << " seed " << g.seed << " anatomy summary moved";
 
     // Analyzer off must land on the same digest: anatomy is observe-only.
     ScenarioConfig off = cfg;
@@ -178,6 +194,7 @@ TEST(PerfGate, LargeMeshScenarioConvergesToPinnedDigest) {
   // need ~400 MB and an in-memory trace several GB.)
   const RunResult r = runScenario(largeMeshConfig());
   EXPECT_EQ(runResultDigest(r), "78d43b0f0b965e27");
+  EXPECT_EQ(anatomyDigest(r.anatomy), "726143a678c6fdfb");
   // The digest already covers these, but assert the headline facts readably:
   // traffic flows end to end and both planes converge after the failure.
   EXPECT_GT(r.data.delivered, 0u);

@@ -4,9 +4,12 @@
 
 #include <stdexcept>
 
+#include "core/experiment.hpp"
+#include "core/options.hpp"
 #include "core/scenario.hpp"
 #include "fault/plan.hpp"
 #include "net/network.hpp"
+#include "obs/anatomy.hpp"
 #include "obs/path_walk.hpp"
 #include "obs/trace.hpp"
 #include "stats/route_log.hpp"
@@ -18,21 +21,27 @@ namespace {
 using namespace rcsim::literals;
 
 TEST(TimeSeries, BucketsBySecond) {
-  TimeSeries ts;
-  ts.recordDelivery(Time::milliseconds(500), 0.01, false, 3);
-  ts.recordDelivery(Time::milliseconds(900), 0.03, false, 3);
-  ts.recordDelivery(Time::milliseconds(1100), 0.05, true, 9);
+  TimeSeries ts{3_sec};
+  ts.recordDelivery(Time::milliseconds(500), 0.01);
+  ts.recordDelivery(Time::milliseconds(900), 0.03);
+  ts.recordDelivery(Time::milliseconds(1100), 0.05);
   EXPECT_EQ(ts.throughputAt(0), 2.0);
   EXPECT_EQ(ts.throughputAt(1), 1.0);
   EXPECT_EQ(ts.throughputAt(2), 0.0);
   EXPECT_DOUBLE_EQ(ts.meanDelayAt(0), 0.02);
   EXPECT_DOUBLE_EQ(ts.meanDelayAt(1), 0.05);
-  EXPECT_EQ(ts.bucket(1).loopedDelivered, 1u);
-  EXPECT_EQ(ts.bucket(0).hopSum, 6u);
 }
 
 TEST(TimeSeries, OutOfRangeBucketsAreEmpty) {
-  TimeSeries ts;
+  TimeSeries ts{Time::seconds(2.5)};  // buckets 0, 1 and 2
+  // Deliveries outside [0, end) are not bucketed: a corrupt trace time
+  // cannot grow the series.
+  ts.recordDelivery(Time::seconds(2.9), 0.01);
+  ts.recordDelivery(3_sec, 0.01);
+  ts.recordDelivery(Time::seconds(1e9), 0.01);
+  ts.recordDelivery(Time::seconds(-1.0), 0.01);
+  EXPECT_EQ(ts.throughputAt(2), 1.0);
+  EXPECT_EQ(ts.throughputAt(3), 0.0);
   EXPECT_EQ(ts.throughputAt(-1), 0.0);
   EXPECT_EQ(ts.throughputAt(1000), 0.0);
   EXPECT_EQ(ts.meanDelayAt(5), 0.0);
@@ -40,32 +49,20 @@ TEST(TimeSeries, OutOfRangeBucketsAreEmpty) {
 
 TEST(RouteChangeLog, ConvergenceSecondsFromWatermark) {
   RouteChangeLog log;
-  log.resize(4);
   log.setWatermark(10_sec);
-  log.record(5_sec, 0, 1, kInvalidNode, 1);   // pre-failure
-  log.record(12_sec, 0, 1, 1, 2);             // post-failure
-  log.record(Time::seconds(13.5), 1, 1, 0, 2);
+  log.record(5_sec);  // pre-failure
+  log.record(12_sec);  // post-failure
+  log.record(Time::seconds(13.5));
   EXPECT_DOUBLE_EQ(log.convergenceSeconds(), 3.5);
   EXPECT_EQ(log.changesAfterWatermark(), 2u);
-  EXPECT_EQ(log.totalChanges(), 3u);
-  EXPECT_EQ(log.lastChangeFor(1), Time::seconds(13.5));
 }
 
 TEST(RouteChangeLog, NoChangeAfterWatermarkIsZero) {
   RouteChangeLog log;
-  log.resize(2);
   log.setWatermark(10_sec);
-  log.record(5_sec, 0, 1, kInvalidNode, 1);
+  log.record(5_sec);
   EXPECT_DOUBLE_EQ(log.convergenceSeconds(), 0.0);
-}
-
-TEST(RouteChangeLog, CountsRouteLosses) {
-  RouteChangeLog log;
-  log.resize(2);
-  log.setWatermark(Time::zero());
-  log.record(1_sec, 0, 1, 1, kInvalidNode);
-  log.record(2_sec, 0, 1, kInvalidNode, 1);
-  EXPECT_EQ(log.routeLossesAfterWatermark(), 1u);
+  EXPECT_EQ(log.changesAfterWatermark(), 0u);
 }
 
 struct TracerFixture : ::testing::Test {
@@ -82,7 +79,7 @@ struct TracerFixture : ::testing::Test {
 };
 
 TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3}};
+  StatsCollector stats{net.nodeCount(), StatsCollector::Config{0, 3, 1_sec}};
   net.trace().addSink(&stats);
   stats.setFailureWatermark(10_sec);
 
@@ -106,7 +103,7 @@ TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   EXPECT_EQ(stats.data().delivered, 1u);
   EXPECT_EQ(stats.data().forwarded, 3u);
   EXPECT_EQ(stats.loopEscapedDeliveries(), 0u);
-  EXPECT_EQ(stats.routeLog().totalChanges(), 3u);
+  EXPECT_EQ(stats.routeLog().changesAfterWatermark(), 0u);  // all before the watermark
   ASSERT_TRUE(stats.pathWalker().walkable());
   EXPECT_EQ(stats.pathWalker().currentPath(), (std::vector<NodeId>{0, 1, 2, 3}));
   // Delivered in bucket 0 with ~hops*(tx+prop) delay.
@@ -114,8 +111,30 @@ TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   EXPECT_GT(stats.series().meanDelayAt(0), 0.0);
 }
 
+TEST_F(TracerFixture, CollectorCountsLoopEscapees) {
+  // A delivery's hop record that repeats a node, adjacent or not, escaped
+  // a loop; a record without repeats, or no record, did not.
+  StatsCollector stats{net.nodeCount(), StatsCollector::Config{0, 3}};
+  net.trace().addSink(&stats);
+  const auto deliver = [&](std::vector<NodeId> hops) {
+    Packet p;
+    p.kind = PacketKind::Data;
+    p.dst = 3;
+    if (!hops.empty()) p.trace = std::make_shared<std::vector<NodeId>>(std::move(hops));
+    net.notifyDeliver(1_sec, 3, p);
+  };
+  deliver({0, 1, 2, 3});
+  deliver({});
+  EXPECT_EQ(stats.loopEscapedDeliveries(), 0u);
+  deliver({0, 1, 0, 1, 2, 3});
+  deliver({0, 1, 2, 1, 3});
+  deliver({0, 1, 2, 3});  // marks from earlier records do not leak
+  EXPECT_EQ(stats.data().delivered, 5u);
+  EXPECT_EQ(stats.loopEscapedDeliveries(), 2u);
+}
+
 TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3}};
+  StatsCollector stats{net.nodeCount(), StatsCollector::Config{0, 3}};
   net.trace().addSink(&stats);
   struct Dummy final : ControlPayload {
     std::uint32_t sizeBytes() const override { return 8; }
@@ -130,7 +149,7 @@ TEST_F(TracerFixture, CollectorSeparatesDataFromControl) {
 }
 
 TEST_F(TracerFixture, WatermarkSplitsDropCounters) {
-  StatsCollector stats{net, StatsCollector::Config{0, 3}};
+  StatsCollector stats{net.nodeCount(), StatsCollector::Config{0, 3}};
   net.trace().addSink(&stats);
   stats.setFailureWatermark(5_sec);
   net.node(0).setRoute(3, 1);
@@ -227,6 +246,7 @@ TEST(PathWalk, UnusableEndpointsRecordNothing) {
   obs::PathWalker walker{0, 3, 4};
   EXPECT_THROW(walker.onRouteChange(1_sec, 4, 3, 1), std::runtime_error);
   EXPECT_THROW(walker.onRouteChange(1_sec, 0, 7, 1), std::runtime_error);
+  EXPECT_THROW(walker.onRouteChange(1_sec, 0, 3, 4), std::runtime_error);  // next hop
 }
 
 // ------------------------------------------- stats walker vs the live FIB
@@ -305,6 +325,91 @@ TEST(Stats, WalkerTracksLiveFibThroughCrashAndRestart) {
   cfg.injectFailure = false;
   cfg.faultPlan = fault::FaultPlan::parse("400:crash:24;460:restart:24");
   expectWalkerTracksLiveFib(cfg, "crash/restart");
+}
+
+// ------------------------------------------- one tally, cut into episodes
+
+/// The collector is the run's only counter and the analyzer only cuts its
+/// tally into episodes: the summary's drop attribution partitions the
+/// data-plane drops by reason, its delivered and control counts are the
+/// RunResult's, and the episodes together never bill more than the run
+/// counted. Returns the run's loop drops.
+std::uint64_t expectTallyPartitionsAnatomy(const ScenarioConfig& cfg, const std::string& label) {
+  Scenario sc{cfg};
+  sc.run();
+  const RunResult r = summarizeRun(sc);
+  const obs::AnatomySummary& a = r.anatomy;
+  const PacketCounters& d = r.data;
+  EXPECT_EQ(a.dropsLoop + a.dropsTtl, d.dropTtl) << label;
+  EXPECT_EQ(a.dropsBlackhole, d.dropNoRoute) << label;
+  EXPECT_EQ(a.dropsQueue, d.dropQueue) << label;
+  EXPECT_EQ(a.dropsOther, d.dropLinkDown + d.dropInFlightCut + d.dropLoss + d.dropCorrupt)
+      << label;
+  EXPECT_EQ(a.delivered, d.delivered) << label;
+  EXPECT_EQ(a.controlMessages, r.controlMessages) << label;
+  EXPECT_EQ(a.controlBytes, r.controlBytes) << label;
+
+  const obs::ConvergenceAnalyzer* analyzer = sc.convergenceAnalyzer();
+  EXPECT_NE(analyzer, nullptr) << label;
+  if (analyzer == nullptr) return 0;
+  const obs::AnatomyReport& report = analyzer->report();
+  EXPECT_FALSE(report.episodes.empty()) << label;
+  obs::ConvergenceEpisode sum;
+  for (const obs::ConvergenceEpisode& e : report.episodes) {
+    sum.dropsLoop += e.dropsLoop;
+    sum.dropsBlackhole += e.dropsBlackhole;
+    sum.dropsTtl += e.dropsTtl;
+    sum.dropsQueue += e.dropsQueue;
+    sum.dropsOther += e.dropsOther;
+    sum.delivered += e.delivered;
+    sum.controlMessages += e.controlMessages;
+    sum.controlBytes += e.controlBytes;
+    sum.mraiDeferred += e.mraiDeferred;
+    sum.dvTriggered += e.dvTriggered;
+  }
+  EXPECT_LE(sum.dropsLoop, a.dropsLoop) << label;
+  EXPECT_LE(sum.dropsBlackhole, a.dropsBlackhole) << label;
+  EXPECT_LE(sum.dropsTtl, a.dropsTtl) << label;
+  EXPECT_LE(sum.dropsQueue, a.dropsQueue) << label;
+  EXPECT_LE(sum.dropsOther, a.dropsOther) << label;
+  EXPECT_LE(sum.delivered, a.delivered) << label;
+  EXPECT_LE(sum.controlMessages, a.controlMessages) << label;
+  EXPECT_LE(sum.controlBytes, a.controlBytes) << label;
+  EXPECT_LE(sum.mraiDeferred, a.mraiArmed) << label;
+  EXPECT_LE(sum.dvTriggered, a.dvTriggered) << label;
+  return a.dropsLoop;
+}
+
+TEST(Stats, TallyPartitionsAnatomy) {
+  std::uint64_t loopDrops = 0;
+  // The 20 pinned golden scenarios (tests/test_perf_gate.cpp).
+  for (const ProtocolKind kind :
+       {ProtocolKind::Rip, ProtocolKind::Dbf, ProtocolKind::Bgp, ProtocolKind::Bgp3}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      ScenarioConfig cfg;
+      cfg.protocol = kind;
+      cfg.mesh.degree = 4;
+      cfg.seed = seed;
+      loopDrops += expectTallyPartitionsAnatomy(
+          cfg, std::string{toString(kind)} + " seed " + std::to_string(seed));
+    }
+  }
+  // Hello detection and a fault plan: adjacency-driven episodes, a repair
+  // episode, and hellos in the per-node control counts.
+  ScenarioConfig hello;
+  for (const char* opt : {"protocol=BGP3", "seed=2", "hello.enabled=1",
+                          "fault-plan=420:fail:path:30"}) {
+    applyOptionString(hello, opt);
+  }
+  loopDrops += expectTallyPartitionsAnatomy(hello, "BGP3 hello + fault plan");
+  EXPECT_EQ(loopDrops, 0u);  // no golden path loops long enough to kill a packet
+  // RIP on a degree-3 mesh loops transiently after the failure: the loop
+  // kills 7 of the run's 8 TTL drops.
+  ScenarioConfig loop;
+  loop.protocol = ProtocolKind::Rip;
+  loop.mesh.degree = 3;
+  loop.seed = 2;
+  EXPECT_EQ(expectTallyPartitionsAnatomy(loop, "RIP degree 3 seed 2"), 7u);
 }
 
 }  // namespace

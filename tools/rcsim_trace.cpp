@@ -38,7 +38,7 @@
 //   fwd   <node> -> <next>  pkt=<id> ttl=<n>   data-plane forwarding
 //   drop  <node> pkt=<id> reason=<r>           data packet drop
 //   del   <node> pkt=<id> delay=<s> hops=<n>   delivery at the receiver
-//   fail  link up/down from the failure detector
+//   fail  link failed/recovered; adjacency lost/regained (hello detection)
 //   path  sender->receiver forwarding path snapshots (loops flagged)
 #include <algorithm>
 #include <array>
@@ -183,6 +183,17 @@ double secOrNeg(Time t, Time start) {
   return t == Time::infinity() ? -1.0 : (t - start).toSeconds();
 }
 
+/// An adjacency change, worded alike in the timeline and the live log.
+void printAdjacency(const char* channel, const obs::TraceEvent& ev) {
+  if (ev.kind == obs::TraceKind::AdjUp) {
+    std::printf("%12.6f\t%s\tnode=%d regained neighbor=%d\n", ev.t.toSeconds(), channel, ev.a,
+                ev.b);
+    return;
+  }
+  std::printf("%12.6f\t%s\tnode=%d lost neighbor=%d%s\n", ev.t.toSeconds(), channel, ev.a, ev.b,
+              ev.x != 0 ? " (false positive)" : "");
+}
+
 void printTimelineEvent(const obs::TraceEvent& ev) {
   const double t = ev.t.toSeconds();
   switch (ev.kind) {
@@ -197,12 +208,7 @@ void printTimelineEvent(const obs::TraceEvent& ev) {
                   static_cast<long long>(ev.x));
       break;
     case obs::TraceKind::AdjDown:
-      std::printf("%12.6f\tdetect\tnode=%d lost neighbor=%d%s\n", t, ev.a, ev.b,
-                  ev.x != 0 ? " (false positive)" : "");
-      break;
-    case obs::TraceKind::AdjUp:
-      std::printf("%12.6f\tdetect\tnode=%d regained neighbor=%d\n", t, ev.a, ev.b);
-      break;
+    case obs::TraceKind::AdjUp: printAdjacency("detect", ev); break;
     case obs::TraceKind::MraiArm: {
       const std::string dst = ev.z >= 0 ? " dst=" + std::to_string(ev.z) : "";
       std::printf("%12.6f\tmrai\tnode=%d peer=%d armed for %.3f s%s\n", t, ev.a, ev.b,
@@ -453,7 +459,9 @@ class LivePrinter final : public obs::TraceSink {
                     static_cast<unsigned long long>(ev.x),
                     (ev.t - Time::nanoseconds(ev.y)).toSeconds(), deliverHops(ev));
         break;
-      default:  // link and adjacency up/down
+      case obs::TraceKind::AdjDown:
+      case obs::TraceKind::AdjUp: printAdjacency("fail", ev); break;
+      default:  // link up/down
         std::printf("%12.6f\tfail\tlink (%d,%d) %s\n", t, ev.a, ev.b,
                     ev.kind == obs::TraceKind::LinkUp ? "recovered" : "failed");
         break;
