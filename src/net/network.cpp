@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rcsim {
@@ -44,6 +46,16 @@ bool Network::visitedTwice(const Packet& p) {
 }
 
 void Network::finalize(bool ecmp) {
+  // A FIB entry is one neighbor-slot byte, so degree is capped at
+  // Fib::kMaxPorts. Check every node before sizing any FIB.
+  for (const auto& n : nodes_) {
+    if (n->neighbors().size() > Fib::kMaxPorts) {
+      throw std::invalid_argument("node " + std::to_string(n->id()) + " has degree " +
+                                  std::to_string(n->neighbors().size()) +
+                                  ", above the FIB's one-byte slot limit of " +
+                                  std::to_string(Fib::kMaxPorts) + " neighbors");
+    }
+  }
   for (auto& n : nodes_) n->resizeFib(nodes_.size(), ecmp);
 }
 

@@ -92,7 +92,8 @@ class Network {
   /// and before starting protocols. `ecmp` enables multi-next-hop FIB
   /// entries (protocols install equal-cost alternates, the data plane
   /// spreads flows over them); off by default so single-path behavior —
-  /// and every golden digest — is untouched.
+  /// and every golden digest — is untouched. Throws std::invalid_argument
+  /// when a node has more than Fib::kMaxPorts (255) neighbors.
   void finalize(bool ecmp = false);
 
   /// Start every node's routing protocol.

@@ -1,6 +1,9 @@
 #include "net/node.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/detector.hpp"
@@ -31,17 +34,35 @@ bool Node::neighborReachable(NodeId neighbor) const {
   return l != nullptr && l->isUp();
 }
 
-void Node::setRoute(NodeId dst, NodeId nextHop) {
-  const NodeId old = fib_.set(dst, nextHop);
-  if (old == nextHop) return;
-  net_.notifyRouteChange(scheduler().now(), id_, dst, old, nextHop);
+std::uint8_t Node::slotForRoute(NodeId dst, NodeId nextHop) const {
+  if (nextHop == kInvalidNode) return Fib::kNoSlot;
+  const int slot = nbrIndex_.slotOf(nextHop);
+  if (slot < 0) {
+    throw std::logic_error("node " + std::to_string(id_) + ": route for dst " +
+                           std::to_string(dst) + " via " + std::to_string(nextHop) +
+                           ", which is not an attached neighbor");
+  }
+  return static_cast<std::uint8_t>(slot);
+}
+
+void Node::setRoute(NodeId dst, NodeId nextHop) { setRouteBySlot(dst, slotForRoute(dst, nextHop)); }
+
+void Node::setRouteBySlot(NodeId dst, std::uint8_t slot) {
+  const std::uint8_t old = fib_.set(dst, slot);
+  if (old == slot) return;
+  net_.notifyRouteChange(scheduler().now(), id_, dst, fib_.portId(old), fib_.portId(slot));
 }
 
 void Node::setRoutes(NodeId dst, const NodeId* nextHops, int count) {
-  const NodeId primary = count > 0 ? nextHops[0] : kInvalidNode;
-  const NodeId old = fib_.setMulti(dst, nextHops, count);
+  // Translate every entry the FIB can keep before touching it, so a bad
+  // next hop throws with the old entry set intact.
+  std::uint8_t slots[Fib::kMaxNextHops];
+  const int n = std::clamp(count, 0, Fib::kMaxNextHops);
+  for (int k = 0; k < n; ++k) slots[k] = slotForRoute(dst, nextHops[k]);
+  const std::uint8_t primary = n > 0 ? slots[0] : Fib::kNoSlot;
+  const std::uint8_t old = fib_.setMulti(dst, slots, n);
   if (old == primary) return;
-  net_.notifyRouteChange(scheduler().now(), id_, dst, old, primary);
+  net_.notifyRouteChange(scheduler().now(), id_, dst, fib_.portId(old), fib_.portId(primary));
 }
 
 void Node::clearRoutes() {
@@ -94,16 +115,14 @@ void Node::receive(Packet&& p, NodeId from) {
 void Node::route(Packet&& p) {
   // With ECMP the flow's deterministic key picks one member of the entry
   // set; without it (the default) this is exactly the primary lookup.
-  const NodeId nh = fib_.ecmpEnabled() ? fib_.pick(p.dst, fibFlowKey(p.src, p.dst))
-                                       : fib_.nextHop(p.dst);
-  if (nh == kInvalidNode) {
+  const std::uint8_t slot = fib_.ecmpEnabled() ? fib_.pickSlot(p.dst, fibFlowKey(p.src, p.dst))
+                                               : fib_.slot(p.dst);
+  if (slot == Fib::kNoSlot) {
     net_.notifyDrop(scheduler().now(), id_, p, DropReason::NoRoute);
     return;
   }
-  Link* l = linkTo(nh);
-  assert(l != nullptr);
-  net_.notifyForward(scheduler().now(), id_, p, nh);
-  l->send(id_, std::move(p));
+  net_.notifyForward(scheduler().now(), id_, p, neighborIds_[slot]);
+  linkBySlot_[slot]->send(id_, std::move(p));
 }
 
 void Node::sendControl(NodeId neighbor, std::shared_ptr<const ControlPayload> payload,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -24,6 +25,11 @@ class Scheduler;
 class Node {
  public:
   Node(Network& net, NodeId id, Rng rng);
+  // The FIB holds a pointer to neighbors(), so a Node stays where it was made.
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+  Node(Node&&) = delete;
+  Node& operator=(Node&&) = delete;
 
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] Network& network() { return net_; }
@@ -48,20 +54,30 @@ class Node {
   [[nodiscard]] const NeighborIndex& neighborIndex() const { return nbrIndex_; }
 
   /// Install/replace the route toward `dst`; kInvalidNode removes it.
-  /// Fires a RouteChange trace event when the next hop changes.
+  /// Fires a RouteChange trace event when the next hop changes. Throws
+  /// std::logic_error, leaving the FIB as it was, when `nextHop` is not an
+  /// attached neighbor (this node included).
   void setRoute(NodeId dst, NodeId nextHop);
+
+  /// setRoute() by neighbor slot (Fib::kNoSlot removes the route), for a
+  /// protocol that already holds the slot.
+  void setRouteBySlot(NodeId dst, std::uint8_t slot);
 
   /// Install a multi-next-hop entry set toward `dst` (nextHops[0] is the
   /// primary; count 0 removes the route). The RouteChange event fires only
   /// when the *primary* changes — alternates are a data-plane refinement
   /// invisible to the RouteChange event stream (docs/routing-state.md).
+  /// Throws like setRoute() on a next hop that is not attached.
   void setRoutes(NodeId dst, const NodeId* nextHops, int count);
 
   /// Remove every installed route (fault injection: a crashed node loses
   /// its FIB). Emits one RouteChange per removed entry.
   void clearRoutes();
   [[nodiscard]] const Fib& fib() const { return fib_; }
-  void resizeFib(std::size_t nodeCount, bool ecmp = false) { fib_.resize(nodeCount, ecmp); }
+  /// Size the FIB and bind it to neighbors(), whose order must not change.
+  void resizeFib(std::size_t nodeCount, bool ecmp = false) {
+    fib_.resize(nodeCount, neighborIds_, ecmp);
+  }
 
   /// Application-layer origination (TTL already set, not decremented here).
   void originate(Packet&& p);
@@ -87,6 +103,9 @@ class Node {
 
  private:
   void route(Packet&& p);
+  /// The FIB slot of `nextHop` (Fib::kNoSlot for kInvalidNode); throws
+  /// std::logic_error when it is not attached.
+  [[nodiscard]] std::uint8_t slotForRoute(NodeId dst, NodeId nextHop) const;
   void deliverLocally(const Packet& p);
 
   Network& net_;

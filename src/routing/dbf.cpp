@@ -33,7 +33,7 @@ int Dbf::metricFor(NodeId dst) const { return record(dst)[stride_ - 1]; }
 
 NodeId Dbf::nextHopFor(NodeId dst) const {
   // The FIB primary *is* the best hop: recompute() keeps them identical, so
-  // no separate bestHop_ array is carried (saves a NodeId per destination).
+  // no separate bestHop_ array is carried (saves a slot byte per destination).
   return metricFor(dst) >= config().infinityMetric ? kInvalidNode : node_.fib().nextHop(dst);
 }
 
@@ -56,26 +56,29 @@ void Dbf::recompute(NodeId dst) {
   std::uint8_t& stored = rec[stride_ - 1];
   const int inf = config().infinityMetric;
   int best = inf;
+  // The winner as an id (for the tie-break) and as a FIB slot (to compare
+  // with the incumbent and install without a reverse lookup).
   NodeId via = kInvalidNode;
-  const NodeId current = node_.fib().nextHop(dst);
+  std::uint8_t viaSlot = Fib::kNoSlot;
+  const std::uint8_t current = node_.fib().slot(dst);
   // Tie-break: keep the incumbent next hop if it stays optimal, otherwise
   // lowest neighbor id — fully deterministic.
-  auto beats = [&](int cand, NodeId n) {
+  auto beats = [&](int cand, std::uint8_t slot, NodeId n) {
     if (cand != best) return cand < best;
-    if (via == current) return false;
-    return n == current || n < via;
+    if (viaSlot == current) return false;
+    return slot == current || n < via;
   };
   const auto& alive = aliveNeighbors();
   const auto& slots = aliveNeighborSlots();
   for (std::size_t k = 0; k < alive.size(); ++k) {
-    const int cand = std::min<int>(rec[slots[k]] + 1, inf);
-    if (cand < inf && beats(cand, alive[k])) {
+    const auto slot = static_cast<std::uint8_t>(slots[k]);
+    const int cand = std::min<int>(rec[slot] + 1, inf);
+    if (cand < inf && beats(cand, slot, alive[k])) {
       best = cand;
       via = alive[k];
+      viaSlot = slot;
     }
   }
-  if (best >= inf) via = kInvalidNode;
-
   // Hold-down (no-op unless dv.holddown is configured): a destination whose
   // best route hit infinity may not be resurrected from the cache until the
   // window lapses — the cached metrics are exactly the stale news hold-down
@@ -84,6 +87,7 @@ void Dbf::recompute(NodeId dst) {
   if (best < inf && stored >= inf && inHoldDown(dst)) {
     best = inf;
     via = kInvalidNode;
+    viaSlot = Fib::kNoSlot;
   }
   if (best >= inf && stored < inf) startHoldDown(dst);
 
@@ -108,17 +112,17 @@ void Dbf::recompute(NodeId dst) {
       }
     }
     node_.setRoutes(dst, hops, count);
-    if (best == stored && via == current) return;
+    if (best == stored && viaSlot == current) return;
     const bool metricChanged = best != stored;
     stored = static_cast<std::uint8_t>(best);
     if (metricChanged) markChanged(dst);
     return;
   }
 
-  if (best == stored && via == current) return;
+  if (best == stored && viaSlot == current) return;
   const bool metricChanged = best != stored;
   stored = static_cast<std::uint8_t>(best);
-  node_.setRoute(dst, via);
+  node_.setRouteBySlot(dst, viaSlot);
   // Advertise on metric change (next-hop-only changes are invisible to
   // neighbors except through poison reverse, which periodic updates fix).
   if (metricChanged) markChanged(dst);

@@ -21,8 +21,8 @@ namespace rcsim {
 /// followed by the best metric, so merging an entry touches one small
 /// contiguous record. An unheard or dead neighbor's column holds infinity.
 /// The best next hop is not stored — after every recompute it equals the
-/// FIB's primary entry, which recompute reads back as the tie-break
-/// incumbent. Metrics are bytes, so the infinity may not exceed 255 (the
+/// FIB's primary slot byte, which recompute reads back as the tie-break
+/// incumbent and overwrites with the winning neighbor slot directly. Metrics are bytes, so the infinity may not exceed 255 (the
 /// constructor throws std::invalid_argument naming dv.infinity otherwise).
 class Dbf final : public DvProtocolBase {
  public:

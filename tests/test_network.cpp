@@ -1,6 +1,9 @@
 // Network container and topology-query tests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/network.hpp"
 #include "obs/trace_io.hpp"
 #include "sim/scheduler.hpp"
@@ -74,6 +77,29 @@ TEST(Network, FibWalkTrivialCases) {
   const auto walk = net.fibWalk(0, 1, &loop, &blackhole);
   EXPECT_TRUE(blackhole);
   EXPECT_EQ(walk, (std::vector<NodeId>{0}));
+}
+
+// A FIB entry is a one-byte neighbor slot (0..254; 0xFF is "no route"), so
+// finalize() refuses a node with more neighbors than that.
+TEST(Network, FinalizeRejectsDegreeAboveTheFibSlotRange) {
+  Scheduler sched;
+  Network net{sched, Rng{1}};
+  const NodeId hub = net.addNode();
+  for (int i = 0; i < 255; ++i) net.addLink(hub, net.addNode(), LinkConfig{});
+  net.finalize();  // 255 neighbors: the last one gets slot 254
+  const NodeId lastLeaf = net.node(hub).neighbors().back();
+  net.node(hub).setRoute(lastLeaf, lastLeaf);
+  EXPECT_EQ(net.node(hub).fib().slot(lastLeaf), 254);
+  EXPECT_EQ(net.node(hub).fib().nextHop(lastLeaf), lastLeaf);
+
+  net.addLink(hub, net.addNode(), LinkConfig{});  // the 256th leaf
+  try {
+    net.finalize();
+    FAIL() << "finalize accepted a node of degree 256";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 0 has degree 256"), std::string::npos) << what;
+  }
 }
 
 TEST(Network, PacketIdsAreUnique) {

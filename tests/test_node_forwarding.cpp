@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "net/network.hpp"
@@ -151,6 +152,24 @@ TEST_F(ForwardingFixture, RouteChangeHookFires) {
   net.node(a).setRoute(b, kInvalidNode);
   ASSERT_EQ(changes.size(), 1u);
   EXPECT_EQ(changes[0], std::make_tuple(a, b, m, kInvalidNode));
+}
+
+TEST_F(ForwardingFixture, RouteViaAnUnattachedNodeThrowsAndKeepsTheFib) {
+  // a's only neighbor is m: b and a itself are not next hops it can use.
+  EXPECT_THROW(net.node(a).setRoute(b, b), std::logic_error);
+  EXPECT_THROW(net.node(a).setRoute(b, a), std::logic_error);
+  EXPECT_THROW(net.node(a).setRoute(m, 42), std::logic_error);
+  const NodeId badAlternate[] = {m, b};
+  EXPECT_THROW(net.node(a).setRoutes(b, badAlternate, 2), std::logic_error);
+  const NodeId badPrimary[] = {a};
+  EXPECT_THROW(net.node(a).setRoutes(b, badPrimary, 1), std::logic_error);
+  EXPECT_EQ(net.node(a).fib().nextHop(b), m);
+  EXPECT_EQ(net.node(a).fib().nextHop(m), kInvalidNode);
+  EXPECT_TRUE(changes.empty());
+  // The route still forwards.
+  net.node(a).originate(makePacket(a, b));
+  sched.run();
+  EXPECT_EQ(delivered.size(), 1u);
 }
 
 TEST_F(ForwardingFixture, FibWalkReportsPathLoopAndBlackhole) {

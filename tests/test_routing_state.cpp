@@ -76,21 +76,27 @@ TEST(RoutingState, NeighborIndexIteratesAscendingById) {
   EXPECT_EQ(slots, (std::vector<int>{1, 0, 2}));
 }
 
+// A Fib stores neighbor-slot bytes and translates them through the bound
+// port list; the ids in these port lists differ from their slots, so a
+// missed translation shows up as a wrong id.
 TEST(RoutingState, FibSetThrowsOnOutOfRangeDestination) {
+  const std::vector<NodeId> ports = {1, 2};
   Fib fib;
-  fib.resize(4);
-  EXPECT_THROW(fib.set(4, 1), std::out_of_range);
-  EXPECT_THROW(fib.set(kInvalidNode, 1), std::out_of_range);
-  NodeId hops[] = {1};
-  EXPECT_THROW(fib.setMulti(7, hops, 1), std::out_of_range);
-  EXPECT_NO_THROW(fib.set(3, 1));
+  fib.resize(4, ports);
+  EXPECT_THROW(fib.set(4, 0), std::out_of_range);
+  EXPECT_THROW(fib.set(kInvalidNode, 0), std::out_of_range);
+  const std::uint8_t slots[] = {0};
+  EXPECT_THROW(fib.setMulti(7, slots, 1), std::out_of_range);
+  EXPECT_NO_THROW(fib.set(3, 0));
+  EXPECT_EQ(fib.nextHop(3), 1);
 }
 
 TEST(RoutingState, FibMultiNextHopSemantics) {
+  const std::vector<NodeId> ports = {2, 3, 5, 7};
   Fib fib;
-  fib.resize(8, /*ecmp=*/true);
-  const NodeId hops[] = {2, 3, 5};
-  fib.setMulti(1, hops, 3);
+  fib.resize(8, ports, /*ecmp=*/true);
+  const std::uint8_t slots[] = {0, 1, 2};  // ids 2, 3, 5
+  fib.setMulti(1, slots, 3);
   EXPECT_EQ(fib.nextHop(1), 2);  // entry 0 is the primary
   NodeId out[Fib::kMaxNextHops];
   ASSERT_EQ(fib.nextHops(1, out), 3);
@@ -107,21 +113,48 @@ TEST(RoutingState, FibMultiNextHopSemantics) {
   EXPECT_EQ(fib.pick(1, 1), 3);
   EXPECT_EQ(fib.pick(1, 2), 5);
   // Single-hop set() drops the alternates.
-  fib.set(1, 7);
+  fib.set(1, 3);  // id 7
   ASSERT_EQ(fib.nextHops(1, out), 1);
   EXPECT_EQ(out[0], 7);
   EXPECT_EQ(fib.pick(1, 1), 7);
 }
 
 TEST(RoutingState, FibWithoutEcmpKeepsOnlyThePrimary) {
+  const std::vector<NodeId> ports = {2, 3};
   Fib fib;
-  fib.resize(4);  // ecmp off: alternate arrays never allocated
-  const NodeId hops[] = {2, 3};
-  fib.setMulti(1, hops, 2);
+  fib.resize(4, ports);  // ecmp off: alternate arrays never allocated
+  const std::uint8_t slots[] = {0, 1};
+  fib.setMulti(1, slots, 2);
   NodeId out[Fib::kMaxNextHops];
   ASSERT_EQ(fib.nextHops(1, out), 1);
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(fib.pick(1, 12345), 2);
+}
+
+TEST(RoutingState, FibEcmpEntrySetRoundTripsThroughThePortList) {
+  const std::vector<NodeId> ports = {7, 3, 12};
+  Fib fib;
+  fib.resize(16, ports, /*ecmp=*/true);
+  EXPECT_EQ(fib.slot(5), Fib::kNoSlot);
+  EXPECT_EQ(fib.nextHop(5), kInvalidNode);
+  EXPECT_EQ(fib.pick(5, 1), kInvalidNode);
+  const std::uint8_t slots[] = {2, 0, 1};  // ids 12, 7, 3
+  EXPECT_EQ(fib.setMulti(5, slots, 3), Fib::kNoSlot);
+  EXPECT_EQ(fib.slot(5), 2);
+  EXPECT_EQ(fib.nextHop(5), 12);
+  NodeId out[Fib::kMaxNextHops];
+  ASSERT_EQ(fib.nextHops(5, out), 3);
+  EXPECT_EQ(out[0], 12);
+  EXPECT_EQ(out[1], 7);
+  EXPECT_EQ(out[2], 3);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(fib.pick(5, k), out[k]);
+    EXPECT_EQ(fib.pickSlot(5, k), slots[k]);
+  }
+  // Removing the route clears the alternates as well.
+  EXPECT_EQ(fib.setMulti(5, slots, 0), 2);
+  EXPECT_EQ(fib.nextHops(5, out), 0);
+  EXPECT_EQ(fib.pick(5, 2), kInvalidNode);
 }
 
 TEST(RoutingState, FlowKeyIsAStableFunctionOfTheFlow) {
