@@ -97,7 +97,9 @@ done
 bash scripts/chaos_resume_test.sh "$BUILD/bench/rcsim_bench"
 
 # Sanitizer job: a separate ASan+UBSan build runs a smoke subset of the
-# suite (the memory-heavy paths: events, links, transport, faults). The
+# suite (the memory-heavy paths: events, links, transport, faults, and the
+# packet slab, whose Packet& must survive a TCP ACK parked from inside a
+# delivery handler: Network, ForwardingFixture, Tcp, Tracer, MultiFlow). The
 # tier-1 gate above stays plain Release so its timings and golden digests
 # are undisturbed.
 SAN_BUILD=${SAN_BUILD:-build-asan}
@@ -107,7 +109,7 @@ cmake --build "$SAN_BUILD" -j "$(nproc)"
 # SPF against a full-BFS oracle (src/routing/linkstate.cpp), so the
 # sanitizer job also proves incremental == full element-wise under ASan.
 RCSIM_SPF_ORACLE=1 ctest --test-dir "$SAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|trace_|PathWalk|TraceReplay|Stats'
+  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|trace_|PathWalk|TraceReplay|Stats|Network|ForwardingFixture|Tcp|Tracer|MultiFlow'
 
 # TSan job: a -fsanitize=thread build runs the concurrency-heavy suites
 # (SweepExecutor's work queue, the lock-free metrics registry, journaled

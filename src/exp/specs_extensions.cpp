@@ -249,7 +249,7 @@ void registerDual() {
   spec.title = "Extension E5: DUAL vs DV/PV family";
   spec.description = "loop-free DUAL vs DBF/BGP3: black-holes, loops, convergence";
   spec.defaultRuns = 20;
-  spec.paperRuns = 30;
+  spec.paperRuns = 20;
   const std::vector<int> degrees{3, 4, 5, 6, 8};
   const std::vector<ProtocolKind> kinds{ProtocolKind::Dbf, ProtocolKind::Bgp3,
                                         ProtocolKind::Dual};
@@ -424,7 +424,7 @@ void registerRealTopo() {
   spec.title = "Extension E8: real-world topologies (Abilene, NSFNET)";
   spec.description = "every protocol through one failure on loaded backbone graphs";
   spec.defaultRuns = 10;
-  spec.paperRuns = 30;
+  spec.paperRuns = 10;
   const std::vector<std::string> graphs{"abilene", "nsfnet"};
   const std::vector<ProtocolKind> kinds{ProtocolKind::Rip,  ProtocolKind::Dbf,
                                         ProtocolKind::Bgp,  ProtocolKind::Bgp3,
@@ -481,7 +481,7 @@ void registerDetection() {
   spec.title = "Extension E9: failure detection latency and route-flap damping";
   spec.description = "delivery vs hello interval (vs oracle); flap burst with damping on/off";
   spec.defaultRuns = 5;
-  spec.paperRuns = 15;
+  spec.paperRuns = 5;
 
   const std::vector<ProtocolKind> kinds{ProtocolKind::Rip, ProtocolKind::Dbf,
                                         ProtocolKind::Bgp, ProtocolKind::LinkState,

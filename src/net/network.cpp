@@ -33,11 +33,22 @@ Link* Network::findLink(NodeId a, NodeId b) const {
   return nullptr;
 }
 
+HopRecord Network::openHopRecord(int ttl) {
+  // Origination and every receive record a node, and the receive that
+  // takes the TTL to zero still records: max(ttl, 1) + 1 visits.
+  const auto visits = static_cast<std::uint32_t>(std::max(ttl, 1)) + 1;
+  return HopRecord{
+      hopPool_.acquire(std::min(visits, static_cast<std::uint32_t>(nodes_.size())))};
+}
+
 bool Network::visitedTwice(const Packet& p) {
-  if (p.trace == nullptr) return false;
+  if (!p.hops.held()) return false;
+  const std::span<const NodeId> kept = hopPool_.kept(p.hops.span());
+  // More visits than kept ids means more visits than nodes (openHopRecord).
+  if (hopPool_.count(p.hops.span()) > kept.size()) return true;
   if (visitMark_.size() < nodes_.size()) visitMark_.resize(nodes_.size(), 0);
   ++visitEpoch_;
-  for (const NodeId hop : *p.trace) {
+  for (const NodeId hop : kept) {
     std::uint64_t& mark = visitMark_[static_cast<std::size_t>(hop)];
     if (mark == visitEpoch_) return true;
     mark = visitEpoch_;

@@ -72,57 +72,67 @@ void Node::clearRoutes() {
 }
 
 void Node::originate(Packet&& p) {
-  if (p.trace) p.trace->push_back(id_);
-  net_.notifyOriginate(scheduler().now(), id_, p);
-  if (p.dst == id_) {
-    deliverLocally(p);
+  const PacketHandle h = net_.park(std::move(p));
+  Packet& pk = net_.packet(h);
+  net_.recordHop(pk, id_);
+  net_.notifyOriginate(scheduler().now(), id_, pk);
+  if (pk.dst == id_) {
+    deliverLocally(h);
     return;
   }
-  route(std::move(p));
+  route(h);
 }
 
-void Node::deliverLocally(const Packet& p) {
+void Node::deliverLocally(PacketHandle h) {
+  // A handler may send (a TCP ACK), which parks more packets; the slab
+  // keeps `p` where it is meanwhile.
+  const Packet& p = net_.packet(h);
   net_.notifyDeliver(scheduler().now(), id_, p);
   for (const auto& handler : deliveryHandlers_) handler(p);
+  net_.release(h);
 }
 
-void Node::receive(Packet&& p, NodeId from) {
-  if (p.trace) p.trace->push_back(id_);
+void Node::receive(PacketHandle h, NodeId from) {
+  Packet& p = net_.packet(h);
+  net_.recordHop(p, id_);
   if (p.kind == PacketKind::Control) {
     assert(p.payload);
+    std::shared_ptr<const ControlPayload> payload = std::move(p.payload);
+    net_.release(h);
     // With hello detection active, every control packet from a neighbor is
     // proof of life; pure hellos stop here, real updates fall through.
     if (HelloDetector* det = net_.detector();
-        det != nullptr && det->onControl(*this, from, *p.payload)) {
+        det != nullptr && det->onControl(*this, from, *payload)) {
       return;
     }
-    if (proto_) proto_->onMessage(from, std::move(p.payload));
+    if (proto_) proto_->onMessage(from, std::move(payload));
     return;
   }
   if (p.dst == id_) {
-    deliverLocally(p);
+    deliverLocally(h);
     return;
   }
   // Transit: decrement TTL, then forward if still alive (RFC 791 behaviour;
   // the paper's loop-caused losses show up here as TtlExpired).
   if (--p.ttl <= 0) {
-    net_.notifyDrop(scheduler().now(), id_, p, DropReason::TtlExpired);
+    net_.dropPacket(id_, h, DropReason::TtlExpired);
     return;
   }
-  route(std::move(p));
+  route(h);
 }
 
-void Node::route(Packet&& p) {
+void Node::route(PacketHandle h) {
+  const Packet& p = net_.packet(h);
   // With ECMP the flow's deterministic key picks one member of the entry
   // set; without it (the default) this is exactly the primary lookup.
   const std::uint8_t slot = fib_.ecmpEnabled() ? fib_.pickSlot(p.dst, fibFlowKey(p.src, p.dst))
                                                : fib_.slot(p.dst);
   if (slot == Fib::kNoSlot) {
-    net_.notifyDrop(scheduler().now(), id_, p, DropReason::NoRoute);
+    net_.dropPacket(id_, h, DropReason::NoRoute);
     return;
   }
   net_.notifyForward(scheduler().now(), id_, p, neighborIds_[slot]);
-  linkBySlot_[slot]->send(id_, std::move(p));
+  linkBySlot_[slot]->send(id_, h);
 }
 
 void Node::sendControl(NodeId neighbor, std::shared_ptr<const ControlPayload> payload,
@@ -139,7 +149,7 @@ void Node::sendControl(NodeId neighbor, std::shared_ptr<const ControlPayload> pa
   p.sendTime = scheduler().now();
   p.payload = std::move(payload);
   net_.notifyControlSend(scheduler().now(), id_, neighbor, *p.payload);
-  l->send(id_, std::move(p));
+  l->send(id_, net_.park(std::move(p)));
 }
 
 void Node::handleLinkDown(NodeId neighbor) {

@@ -79,7 +79,8 @@ class Node {
     fib_.resize(nodeCount, neighborIds_, ecmp);
   }
 
-  /// Application-layer origination (TTL already set, not decremented here).
+  /// Application-layer origination (TTL already set, not decremented here):
+  /// parks the packet in the network's slab and routes its handle.
   void originate(Packet&& p);
 
   /// Register an application sink: every data packet delivered to this
@@ -89,8 +90,9 @@ class Node {
     deliveryHandlers_.push_back(std::move(handler));
   }
 
-  /// A packet arrived over the link from `from`.
-  void receive(Packet&& p, NodeId from);
+  /// The parked packet `h` arrived over the link from `from`. The node
+  /// forwards it, or releases it once delivered, dropped or consumed.
+  void receive(PacketHandle h, NodeId from);
 
   /// Send a routing/transport payload to a directly connected neighbor.
   /// `extraBytes` accounts for IP/UDP framing around the payload.
@@ -102,11 +104,11 @@ class Node {
   void handleLinkUp(NodeId neighbor);
 
  private:
-  void route(Packet&& p);
+  void route(PacketHandle h);
   /// The FIB slot of `nextHop` (Fib::kNoSlot for kInvalidNode); throws
   /// std::logic_error when it is not attached.
   [[nodiscard]] std::uint8_t slotForRoute(NodeId dst, NodeId nextHop) const;
-  void deliverLocally(const Packet& p);
+  void deliverLocally(PacketHandle h);
 
   Network& net_;
   NodeId id_;

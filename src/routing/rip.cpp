@@ -13,6 +13,7 @@ void Rip::start() {
   const auto n = node_.network().nodeCount();
   metric_.assign(n, 0);
   lastRefresh_.assign(n, node_.scheduler().now());
+  oldestRefresh_ = node_.scheduler().now();
   known_.assign(n);
   metric_[static_cast<std::size_t>(node_.id())] = 0;
   known_.set(node_.id());
@@ -84,11 +85,19 @@ void Rip::processUpdate(NodeId from, const DvUpdate& update) {
 
 void Rip::expireStale() {
   const Time now = node_.scheduler().now();
+  // No live route was refreshed before oldestRefresh_: none can be stale.
+  if (now - oldestRefresh_ <= config().timeout) return;
+  Time oldest = now;
   for (NodeId d = 0; d < static_cast<NodeId>(metric_.size()); ++d) {
     const auto i = static_cast<std::size_t>(d);
     if (d == node_.id() || !known_.test(d) || metric_[i] >= config().infinityMetric) continue;
-    if (now - lastRefresh_[i] > config().timeout) adopt(d, config().infinityMetric, kInvalidNode);
+    if (now - lastRefresh_[i] > config().timeout) {
+      adopt(d, config().infinityMetric, kInvalidNode);
+    } else {
+      oldest = std::min(oldest, lastRefresh_[i]);
+    }
   }
+  oldestRefresh_ = oldest;
 }
 
 void Rip::neighborDown(NodeId neighbor) {

@@ -41,6 +41,10 @@ class Rip final : public DvProtocolBase {
 
   std::vector<std::uint16_t> metric_;
   std::vector<Time> lastRefresh_;
+  /// A lower bound on lastRefresh_ over live routes (known, not this node,
+  /// metric below infinity). Refreshes only raise their times, so it holds
+  /// until expireStale() rescans and tightens it.
+  Time oldestRefresh_;
   NodeBitset known_;  ///< destination ever heard of (stays set once dead)
 };
 

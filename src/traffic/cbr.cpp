@@ -1,7 +1,5 @@
 #include "traffic/cbr.hpp"
 
-#include <memory>
-
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -46,7 +44,7 @@ void CbrSource::emitPacket() {
   p.sizeBytes = cfg_.packetBytes;
   p.kind = PacketKind::Data;
   p.sendTime = net_.scheduler().now();
-  if (cfg_.tracePackets) p.trace = std::make_shared<std::vector<NodeId>>();
+  if (cfg_.tracePackets) p.hops = net_.openHopRecord(p.ttl);
   ++sent_;
   net_.node(cfg_.src).originate(std::move(p));
 }

@@ -1,7 +1,5 @@
 #include "traffic/tcp_flow.hpp"
 
-#include <memory>
-
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -45,7 +43,7 @@ void TcpFlow::sendData(std::uint64_t seq) {
   p.flowId = cfg_.flowId;
   p.flowSeq = seq;
   p.flowAck = false;
-  if (cfg_.tracePackets) p.trace = std::make_shared<std::vector<NodeId>>();
+  if (cfg_.tracePackets) p.hops = net_.openHopRecord(p.ttl);
   net_.node(cfg_.src).originate(std::move(p));
 }
 

@@ -2,11 +2,12 @@
 // the global operator new with a counting one, so it is built on its own
 // (rcsim_alloc_tests) rather than folded into rcsim_tests.
 //
-// A steady-state CBR packet crossing a link must not touch the heap: both
-// link delivery closures live inside the scheduler's inline callback
-// storage, the source keeps one pending tick whose slot is recycled, and
-// the link queue is a ring that stops growing once warm, and so are the
-// scheduler's lanes.
+// A steady-state CBR packet crossing a link must not touch the heap: the
+// packet and its hop record wait in the network's slab and hop pool, both
+// link delivery closures (which carry only the packet's handle) live inside
+// the scheduler's inline callback storage, the source keeps one pending
+// tick whose slot is recycled, and the link queue is a ring of handles
+// that stops growing once warm, and so are the scheduler's lanes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,37 +57,48 @@ using namespace rcsim::literals;
 TEST(Alloc, SteadyStateDataPlaneHopAllocatesNothing) {
   // DBF on a 4-node line. Periodic updates are pushed far past the run, so
   // after convergence the only events are CBR ticks and link deliveries.
-  ProtocolConfig proto;
-  proto.dv.periodicInterval = 1000_sec;
-  testutil::TestNet tn{testutil::lineTopology(4), ProtocolKind::Dbf, proto};
-  CbrSource::Config cfg;
-  cfg.src = 0;
-  cfg.dst = 3;
-  cfg.packetsPerSecond = 1000.0;
-  cfg.packetBytes = 64;
-  cfg.start = 20_sec;
-  cfg.stop = 40_sec;
-  cfg.tracePackets = false;  // a hop record is a heap vector by design
-  CbrSource cbr{tn.net(), cfg};
-  cbr.install();
-  std::uint64_t delivered = 0;
-  tn.node(3).addDeliveryHandler([&delivered](const Packet&) { ++delivered; });
+  // Run once without and once with per-packet hop records (the default
+  // config): records come from a pool that is warm after the first second.
+  for (const bool tracePackets : {false, true}) {
+    SCOPED_TRACE(tracePackets ? "trace-packets=1" : "trace-packets=0");
+    ProtocolConfig proto;
+    proto.dv.periodicInterval = 1000_sec;
+    testutil::TestNet tn{testutil::lineTopology(4), ProtocolKind::Dbf, proto};
+    CbrSource::Config cfg;
+    cfg.src = 0;
+    cfg.dst = 3;
+    cfg.packetsPerSecond = 1000.0;
+    cfg.packetBytes = 64;
+    cfg.start = 20_sec;
+    cfg.stop = 40_sec;
+    cfg.tracePackets = tracePackets;
+    CbrSource cbr{tn.net(), cfg};
+    cbr.install();
+    std::uint64_t delivered = 0;
+    std::uint64_t hops = 0;
+    tn.node(3).addDeliveryHandler([&](const Packet& p) {
+      ++delivered;
+      hops += tn.net().hopRecord(p).size();
+    });
 
-  tn.warmUp(25_sec);  // converge, then 5 s of traffic sizes the pool and rings
-  const std::uint64_t sentBefore = cbr.packetsSent();
-  const std::uint64_t deliveredBefore = delivered;
-  ASSERT_GT(deliveredBefore, 4000u);
+    tn.warmUp(25_sec);  // converge, then 5 s of traffic sizes the pools and rings
+    const std::uint64_t sentBefore = cbr.packetsSent();
+    const std::uint64_t deliveredBefore = delivered;
+    const std::uint64_t hopsBefore = hops;
+    ASSERT_GT(deliveredBefore, 4000u);
 
-  gAllocations = 0;
-  gCounting = true;
-  tn.runUntil(30_sec);
-  gCounting = false;
+    gAllocations = 0;
+    gCounting = true;
+    tn.runUntil(30_sec);
+    gCounting = false;
 
-  const std::uint64_t forwarded = delivered - deliveredBefore;
-  EXPECT_EQ(cbr.packetsSent() - sentBefore, 5000u);
-  EXPECT_GE(forwarded, 4990u);  // three hops each
-  EXPECT_EQ(gAllocations, 0u) << "heap allocations while forwarding " << forwarded
-                              << " packets";
+    const std::uint64_t forwarded = delivered - deliveredBefore;
+    EXPECT_EQ(cbr.packetsSent() - sentBefore, 5000u);
+    EXPECT_GE(forwarded, 4990u);  // three hops each
+    EXPECT_EQ(hops - hopsBefore, tracePackets ? 4 * forwarded : 0u);  // four nodes visited
+    EXPECT_EQ(gAllocations, 0u) << "heap allocations while forwarding " << forwarded
+                                << " packets";
+  }
 }
 
 TEST(Alloc, SteadyStateWithLaneRebindingAllocatesNothing) {

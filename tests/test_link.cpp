@@ -36,7 +36,8 @@ struct LinkFixture : ::testing::Test, obs::TraceSink {
     }
   }
 
-  Packet makePacket(std::uint32_t bytes = 1000) {
+  /// A data packet from a to b, parked in the network's slab.
+  PacketHandle makePacket(std::uint32_t bytes = 1000) {
     Packet p;
     p.id = net.nextPacketId();
     p.src = a;
@@ -45,7 +46,7 @@ struct LinkFixture : ::testing::Test, obs::TraceSink {
     p.sizeBytes = bytes;
     p.kind = PacketKind::Data;
     p.sendTime = sched.now();
-    return p;
+    return net.park(std::move(p));
   }
 
   struct Delivery {
@@ -85,10 +86,10 @@ TEST_F(LinkFixture, SerializesBackToBackPackets) {
 
 TEST_F(LinkFixture, DirectionsAreIndependent) {
   link->send(a, makePacket());
-  Packet back = makePacket();
-  back.src = b;
-  back.dst = a;
-  link->send(b, std::move(back));
+  const PacketHandle back = makePacket();
+  net.packet(back).src = b;
+  net.packet(back).dst = a;
+  link->send(b, back);
   sched.run();
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0].t, 2_ms);  // no serialization contention across directions
@@ -199,7 +200,7 @@ TEST(LinkQueue, FifoThroughWrapGrowthAndFailure) {
     p.dst = b;
     p.ttl = 64;
     p.sizeBytes = 1000;
-    link.send(a, std::move(p));
+    link.send(a, net.park(std::move(p)));
   };
 
   for (int i = 0; i < 3; ++i) send();  // 1 in service, 2 and 3 queued
@@ -210,6 +211,7 @@ TEST(LinkQueue, FifoThroughWrapGrowthAndFailure) {
   sched.run();
   EXPECT_EQ(delivered, (std::vector<std::int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(dropped, (std::vector<std::int64_t>{7, 8, 9, 5, 6}));
+  EXPECT_EQ(net.packetsInFlight(), 0u);  // every fate released its slab slot
 }
 
 }  // namespace

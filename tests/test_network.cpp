@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "obs/trace_io.hpp"
@@ -57,6 +58,34 @@ TEST(Network, ShortestPathLiveOnMesh) {
   net.findLink(gridId(0, 0, 5), gridId(0, 1, 5))->fail();
   net.findLink(gridId(0, 0, 5), gridId(1, 0, 5))->fail();
   EXPECT_EQ(net.shortestDistLive(gridId(0, 0, 5), gridId(4, 4, 5)), -1);
+}
+
+TEST(Network, HopRecordsKeepTheirIdsWhenAWiderTtlRestridesThePool) {
+  // A record sized for TTL 1 is live when one for TTL 64 widens the pool's
+  // stride; the first keeps its ids, both count every visit, and a record
+  // holds at most one id per node.
+  Scheduler sched;
+  Network net{sched, Rng{1}};
+  for (int i = 0; i < 6; ++i) net.addNode();
+  Packet shortLived;
+  shortLived.hops = net.openHopRecord(1);  // two visits
+  net.recordHop(shortLived, 4);
+  net.recordHop(shortLived, 2);
+  Packet longLived;
+  longLived.hops = net.openHopRecord(64);  // capped at six ids
+  for (const NodeId n : {0, 1, 2, 3, 4, 5, 0, 1}) net.recordHop(longLived, n);
+  const auto ids = [&net](const Packet& p) {
+    const auto kept = net.hopRecord(p);
+    return std::vector<NodeId>(kept.begin(), kept.end());
+  };
+  EXPECT_EQ(ids(shortLived), (std::vector<NodeId>{4, 2}));
+  EXPECT_EQ(ids(longLived), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  const PacketHandle first = net.park(std::move(shortLived));
+  const PacketHandle second = net.park(std::move(longLived));
+  EXPECT_EQ(net.packetsInFlight(), 2u);
+  net.release(first);
+  net.release(second);
+  EXPECT_EQ(net.packetsInFlight(), 0u);
 }
 
 TEST(Network, FibWalkTrivialCases) {

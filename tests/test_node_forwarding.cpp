@@ -5,6 +5,7 @@
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "test_util.hpp"
 
 namespace rcsim {
 namespace {
@@ -26,10 +27,12 @@ struct ForwardingFixture : ::testing::Test, obs::TraceSink {
     net.node(b).setRoute(a, m);
 
     // Delivered packets come from the nodes' delivery handlers (they carry
-    // the whole packet); drops, forwards and route changes from the trace.
+    // the whole packet, hop record included); drops, forwards and route
+    // changes from the trace.
     for (const NodeId n : {a, m, b}) {
       net.node(n).addDeliveryHandler([this, n](const Packet& p) {
-        delivered.push_back(p);
+        const auto hops = net.hopRecord(p);
+        delivered.push_back({p.ttl, std::vector<NodeId>(hops.begin(), hops.end())});
         deliveredAt.push_back(sched.now());
         deliveredNode.push_back(n);
       });
@@ -62,7 +65,7 @@ struct ForwardingFixture : ::testing::Test, obs::TraceSink {
     p.sizeBytes = 1000;
     p.kind = PacketKind::Data;
     p.sendTime = sched.now();
-    p.trace = std::make_shared<std::vector<NodeId>>();
+    p.hops = net.openHopRecord(ttl);
     return p;
   }
 
@@ -70,7 +73,11 @@ struct ForwardingFixture : ::testing::Test, obs::TraceSink {
   LinkConfig cfg;
   Network net;
   NodeId a{}, m{}, b{};
-  std::vector<Packet> delivered;
+  struct Delivered {
+    int ttl;
+    std::vector<NodeId> hops;
+  };
+  std::vector<Delivered> delivered;
   std::vector<Time> deliveredAt;
   std::vector<NodeId> deliveredNode;
   std::vector<std::pair<NodeId, DropReason>> drops;
@@ -92,7 +99,47 @@ TEST_F(ForwardingFixture, TraceRecordsVisitedNodes) {
   net.node(a).originate(makePacket(a, b));
   sched.run();
   ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(*delivered[0].trace, (std::vector<NodeId>{a, m, b}));
+  EXPECT_EQ(delivered[0].hops, (std::vector<NodeId>{a, m, b}));
+}
+
+TEST_F(ForwardingFixture, RecycledHopRecordStartsEmpty) {
+  // m bounces the first packet back to a until its route is repaired at
+  // 5 ms: a m a m b escaped a loop. The second, loop-free packet reuses the
+  // span the first released and must report its own three hops.
+  std::vector<std::pair<std::int64_t, std::int64_t>> deliveries;  // (repeated, hops)
+  testutil::CallbackSink sink{obs::kindBit(obs::TraceKind::Deliver),
+                              [&](const obs::TraceEvent& ev) {
+                                deliveries.emplace_back(ev.b, ev.z);
+                              }};
+  net.trace().addSink(&sink);
+  net.node(m).setRoute(b, a);
+  net.node(a).originate(makePacket(a, b));
+  sched.scheduleAt(5_ms, [this] { net.node(m).setRoute(b, b); });
+  sched.scheduleAt(20_ms, [this] { net.node(a).originate(makePacket(a, b)); });
+  sched.run();
+  ASSERT_EQ(delivered.size(), 2u);
+  // A record keeps as many ids as there are nodes; five visits of three
+  // nodes repeat one even without the rest.
+  EXPECT_EQ(delivered[0].hops, (std::vector<NodeId>{a, m, a}));
+  EXPECT_EQ(delivered[1].hops, (std::vector<NodeId>{a, m, b}));
+  ASSERT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ(deliveries[0], std::make_pair(std::int64_t{1}, std::int64_t{5}));
+  EXPECT_EQ(deliveries[1], std::make_pair(std::int64_t{0}, std::int64_t{3}));
+  EXPECT_EQ(net.packetsInFlight(), 0u);
+}
+
+TEST_F(ForwardingFixture, CopyingAPacketThatHoldsAHopRecordThrows) {
+  Packet p = makePacket(a, b);
+  ASSERT_TRUE(p.hops.held());
+  EXPECT_THROW({ [[maybe_unused]] Packet copy = p; }, std::logic_error);
+  Packet other;
+  EXPECT_THROW(other = p, std::logic_error);
+  // Moving hands the record on and leaves none behind.
+  Packet moved = std::move(p);
+  EXPECT_TRUE(moved.hops.held());
+  EXPECT_FALSE(p.hops.held());  // NOLINT(bugprone-use-after-move)
+  Packet copy = p;
+  EXPECT_FALSE(copy.hops.held());
 }
 
 TEST_F(ForwardingFixture, TtlDecrementedPerTransitHop) {

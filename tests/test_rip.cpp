@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
+#include "routing/messages.hpp"
 #include "test_util.hpp"
 
 namespace rcsim {
@@ -123,6 +126,46 @@ TEST(Rip, CutVertexFailureMakesDownstreamUnreachableForGood) {
   EXPECT_EQ(tn.nextHop(0, 2), kInvalidNode);
   EXPECT_EQ(tn.nextHop(0, 1), kInvalidNode);
   EXPECT_EQ(tn.nextHop(2, 0), kInvalidNode);
+}
+
+TEST(Rip, StaleRouteExpiresExactlyPastTheRefreshBound) {
+  // Node 0 runs RIP; its neighbors 1 and 2 run nothing, so the only updates
+  // it hears are the ones fed below. expireStale() skips its scan while the
+  // oldest live refresh is within the timeout and tightens that bound when
+  // it scans: a route refreshed after the scan must still expire on time.
+  Scheduler sched;
+  Network net{sched, Rng{1}};
+  for (int i = 0; i < 4; ++i) net.addNode();
+  net.addLink(0, 1, LinkConfig{});
+  net.addLink(0, 2, LinkConfig{});
+  net.finalize();
+  DvConfig dv;
+  dv.periodicInterval = 1000_sec;
+  dv.timeout = 10_sec;
+  net.node(0).setProtocol(std::make_unique<Rip>(net.node(0), dv));
+  net.startProtocols();
+  const auto feed = [&](Time at, NodeId from, std::vector<DvEntry> entries) {
+    sched.scheduleAt(at, [&net, from, entries = std::move(entries)] {
+      auto update = std::make_shared<DvUpdate>();
+      update->entries = entries;
+      net.node(0).protocol()->onMessage(from, std::move(update));
+    });
+  };
+  const Fib& fib = net.node(0).fib();
+  feed(1_sec, 1, {{1, 0}, {3, 1}});
+  feed(1_sec, 2, {{2, 0}});
+  feed(8_sec, 1, {{3, 1}});   // refreshes 3 only
+  feed(12_sec, 2, {{2, 0}});  // scans: 1 expires, 2 re-learned, bound moves to 8 s
+  feed(15_sec, 2, {{2, 0}});  // within the timeout of every live route: no scan
+  sched.run(16_sec);
+  EXPECT_EQ(fib.nextHop(1), kInvalidNode);
+  EXPECT_EQ(fib.nextHop(2), 2);
+  EXPECT_EQ(fib.nextHop(3), 1);
+  feed(Time::seconds(18.5), 2, {{2, 0}});  // 10.5 s after 3's refresh
+  sched.run(19_sec);
+  EXPECT_EQ(fib.nextHop(3), kInvalidNode);
+  EXPECT_EQ(dynamic_cast<Rip&>(*net.node(0).protocol()).metricFor(3), 16);
+  EXPECT_EQ(fib.nextHop(2), 2);
 }
 
 TEST(Rip, MessageRespectsEntryCap) {

@@ -96,7 +96,7 @@ TEST_F(TracerFixture, CollectorWiresEverythingTogether) {
   p.sizeBytes = 1000;
   p.kind = PacketKind::Data;
   p.sendTime = Time::zero();
-  p.trace = std::make_shared<std::vector<NodeId>>();
+  p.hops = net.openHopRecord(p.ttl);
   net.node(0).originate(std::move(p));
   sched.run();
 
@@ -116,12 +116,15 @@ TEST_F(TracerFixture, CollectorCountsLoopEscapees) {
   // a loop; a record without repeats, or no record, did not.
   StatsCollector stats{net.nodeCount(), StatsCollector::Config{0, 3}};
   net.trace().addSink(&stats);
-  const auto deliver = [&](std::vector<NodeId> hops) {
+  const auto deliver = [&](const std::vector<NodeId>& hops) {
     Packet p;
     p.kind = PacketKind::Data;
     p.dst = 3;
-    if (!hops.empty()) p.trace = std::make_shared<std::vector<NodeId>>(std::move(hops));
-    net.notifyDeliver(1_sec, 3, p);
+    if (!hops.empty()) p.hops = net.openHopRecord(64);
+    for (const NodeId hop : hops) net.recordHop(p, hop);
+    const PacketHandle h = net.park(std::move(p));
+    net.notifyDeliver(1_sec, 3, net.packet(h));
+    net.release(h);
   };
   deliver({0, 1, 2, 3});
   deliver({});
