@@ -7,21 +7,6 @@
 
 namespace rcsim {
 
-std::uint32_t Scheduler::acquireSlot() {
-  if (!freeSlots_.empty()) {
-    const std::uint32_t s = freeSlots_.back();
-    freeSlots_.pop_back();
-    return s;
-  }
-  if (usedSlots_ == chunks_.size() * kChunkSlots) {
-    // Default-initialized: a slot's callback storage is written only when
-    // an event is placed there.
-    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
-  }
-  assert(usedSlots_ <= kSlotMask && "event pool exceeded 2^24 concurrent events");
-  return usedSlots_++;
-}
-
 void Scheduler::Lane::grow() {
   const std::uint32_t capacity = capacity_ == 0 ? 64 : capacity_ * 2;
   auto ring = std::make_unique_for_overwrite<HeapItem[]>(capacity);
@@ -34,12 +19,12 @@ void Scheduler::Lane::grow() {
 void Scheduler::cancel(EventId id) {
   if (!id.valid()) return;
   const auto slot = static_cast<std::uint32_t>(id.value & kSlotMask);
-  if (slot >= usedSlots_) return;
-  Slot& s = slotRef(slot);
+  if (slot >= slots_.carved()) return;
+  Slot& s = slots_[slot];
   if (s.key != id.value) return;  // fired or stale
   s.cb.reset();
   s.key = 0;
-  freeSlots_.push_back(slot);
+  slots_.release(slot);
   --live_;
   ++cancelled_;
 }
@@ -64,7 +49,7 @@ void Scheduler::run(Time horizon) {
     if (static_cast<std::int64_t>(top.atNs) > horizonNs) break;
     // Pop order wanders across the slab, so the slot line is usually cold;
     // start fetching it while the pop below does its compares.
-    Slot& s = slotRef(static_cast<std::uint32_t>(top.key & kSlotMask));
+    Slot& s = slots_[static_cast<std::uint32_t>(top.key & kSlotMask)];
 #if defined(__GNUC__)
     __builtin_prefetch(&s);
 #endif
@@ -87,7 +72,7 @@ void Scheduler::run(Time horizon) {
     // a replica stuck in an event storm still surfaces as a Timeout.
     if ((executed_ & 0xFFF) == 0) watchdog::poll();
     s.cb.run();
-    freeSlots_.push_back(static_cast<std::uint32_t>(top.key & kSlotMask));
+    slots_.release(static_cast<std::uint32_t>(top.key & kSlotMask));
   }
   // Advance the clock to the horizon unless stopped early: remaining events
   // (if any) are strictly later, so subsequent relative scheduling should be

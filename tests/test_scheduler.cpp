@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/chunked_pool.hpp"
 #include "sim/random.hpp"
 
 namespace rcsim {
@@ -522,6 +523,31 @@ TEST(Scheduler, LaneCountsMatchHeap) {
       EXPECT_TRUE(same(laned.s.kindStats(kind), heap.s.kindStats(kind))) << toString(kind);
     }
   }
+}
+
+TEST(ChunkedPool, KeepsAddressesAcrossGrowthAndReusesTheLastReleasedIndex) {
+  ChunkedPool<int> pool;
+  const std::uint32_t first = pool.acquire();
+  pool[first] = 7;
+  int* const addr = &pool[first];
+  // Grow well past one chunk: the first slot must not move.
+  std::vector<std::uint32_t> more;
+  for (std::uint32_t i = 0; i < 3 * ChunkedPool<int>::kChunkSlots; ++i) {
+    more.push_back(pool.acquire());
+  }
+  EXPECT_EQ(&pool[first], addr);
+  EXPECT_EQ(pool[first], 7);
+  EXPECT_EQ(pool.live(), more.size() + 1);
+  EXPECT_EQ(pool.capacity(), 4u * ChunkedPool<int>::kChunkSlots);
+
+  pool.release(more[5]);
+  pool.release(more[9]);
+  EXPECT_EQ(pool.live(), more.size() - 1);
+  EXPECT_EQ(pool.acquire(), more[9]);
+  EXPECT_EQ(pool.acquire(), more[5]);
+  // A warm pool carves nothing new.
+  EXPECT_EQ(pool.carved(), more.size() + 1);
+  EXPECT_EQ(pool.capacity(), 4u * ChunkedPool<int>::kChunkSlots);
 }
 
 }  // namespace
