@@ -46,8 +46,8 @@ grep -q '^episode' "$smoke_out/episodes1.txt"
 "$BUILD/tools/rcsim-trace" --trace="$smoke_out/smoke.trace.jsonl" --episodes \
   > "$smoke_out/episodes2.txt"
 cmp "$smoke_out/episodes1.txt" "$smoke_out/episodes2.txt"
-# Artifacts carry the convergence block (schema: exp/journal.hpp
-# anatomySummaryToJson) plus its digest pinning the serial == pooled fold.
+# Artifacts carry the convergence block (schema: the AnatomySummary field
+# table in obs/anatomy.hpp) plus its digest pinning the serial == pooled fold.
 grep -q '"convergence"' "$smoke_out/headline_table.json"
 grep -q '"convergence_digest"' "$smoke_out/headline_table.json"
 grep -q '"detection_sec_total"' "$smoke_out/headline_table.json"
@@ -99,7 +99,8 @@ bash scripts/chaos_resume_test.sh "$BUILD/bench/rcsim_bench"
 # Sanitizer job: a separate ASan+UBSan build runs a smoke subset of the
 # suite (the memory-heavy paths: events, links, transport, faults, and the
 # packet slab, whose Packet& must survive a TCP ACK parked from inside a
-# delivery handler: Network, ForwardingFixture, Tcp, Tracer, MultiFlow). The
+# delivery handler: Network, ForwardingFixture, Tcp, Tracer, MultiFlow; and
+# the field-table encoders and folds: Aggregate, Artifact, Digest). The
 # tier-1 gate above stays plain Release so its timings and golden digests
 # are undisturbed.
 SAN_BUILD=${SAN_BUILD:-build-asan}
@@ -109,7 +110,7 @@ cmake --build "$SAN_BUILD" -j "$(nproc)"
 # SPF against a full-BFS oracle (src/routing/linkstate.cpp), so the
 # sanitizer job also proves incremental == full element-wise under ASan.
 RCSIM_SPF_ORACLE=1 ctest --test-dir "$SAN_BUILD" --output-on-failure --timeout 600 \
-  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|trace_|PathWalk|TraceReplay|Stats|Network|ForwardingFixture|Tcp|Tracer|MultiFlow'
+  -R 'Scheduler|Link|Reliable|Churn|Fault|Invariant|Executor|Sweep|Journal|LinkState|RoutingState|Spf|Detector|Damping|Anatomy|trace_|PathWalk|TraceReplay|Stats|Network|ForwardingFixture|Tcp|Tracer|MultiFlow|Aggregate|Artifact|Digest'
 
 # TSan job: a -fsanitize=thread build runs the concurrency-heavy suites
 # (SweepExecutor's work queue, the lock-free metrics registry, journaled

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "core/scenario.hpp"
 
 namespace rcsim {
@@ -50,15 +51,13 @@ struct RunResult {
 
   /// Per-node route-table snapshot digests around the first fault (hex
   /// FNV-1a; see Scenario::captureFibSnapshot). `before` is empty on
-  /// fault-free runs. Deliberately NOT part of runResultFingerprint — the
-  /// pinned golden digests enumerate fields explicitly and predate these.
+  /// fault-free runs.
   std::string fibDigestBefore;
   std::string fibDigestAfter;
 
   /// Convergence-anatomy rollup from the streaming analyzer (episodes,
   /// detection/convergence latency, window seconds, per-cause drops,
-  /// control-plane accounting). All-zero when cfg.anatomy is off. Like the
-  /// FIB digests, deliberately NOT part of runResultFingerprint — it has
+  /// control-plane accounting). All-zero when cfg.anatomy is off. It has
   /// its own anatomyFingerprint for the serial == pooled check.
   obs::AnatomySummary anatomy;
 
@@ -68,7 +67,49 @@ struct RunResult {
     return static_cast<std::int64_t>(sent) - static_cast<std::int64_t>(data.delivered) -
            static_cast<std::int64_t>(data.totalDropped());
   }
+
+  friend bool operator==(const RunResult&, const RunResult&) = default;
 };
+
+/// RunResult's field table (core/fields.hpp), in fingerprint order: the
+/// fingerprint, the journal record and the replica folds follow it. The
+/// transport counters, the FIB digests and the anatomy postdate the golden
+/// digests, so they stay outside the fingerprint; journals written before
+/// the last three existed still decode.
+template <FieldsOf<RunResult> R, class V>
+void forEachField(R& r, V&& v) {
+  v("protocol", r.protocol, kFingerprinted);
+  v("degree", r.degree, kFingerprinted);
+  v("seed", r.seed, kFingerprinted);
+  v("sent", r.sent, kFingerprinted);
+  v("data", r.data, kFingerprinted);
+  v("dataAfterFailure", r.dataAfterFailure, kFingerprinted);
+  v("control", r.control, kFingerprinted);
+  v("loopEscapedDeliveries", r.loopEscapedDeliveries, kFingerprinted);
+  v("controlMessages", r.controlMessages, kFingerprinted);
+  v("controlBytes", r.controlBytes, kFingerprinted);
+  v("controlMessagesAfterFailure", r.controlMessagesAfterFailure, kFingerprinted);
+  v("tcpGoodputPackets", r.tcpGoodputPackets, kFingerprinted);
+  v("tcpRetransmissions", r.tcpRetransmissions, kFingerprinted);
+  v("transportRetransmissions", r.transportRetransmissions, kUnpinned);
+  v("transportSessionResets", r.transportSessionResets, kUnpinned);
+  v("routingConvergenceSec", r.routingConvergenceSec, kFingerprinted);
+  v("forwardingConvergenceSec", r.forwardingConvergenceSec, kFingerprinted);
+  v("transientPaths", r.transientPaths, kFingerprinted);
+  v("sawLoop", r.sawLoop, kFingerprinted);
+  v("sawBlackhole", r.sawBlackhole, kFingerprinted);
+  v("preFailurePathShortest", r.preFailurePathShortest, kFingerprinted);
+  v("preFailurePathHops", r.preFailurePathHops, kFingerprinted);
+  v("finalPathShortest", r.finalPathShortest, kFingerprinted);
+  v("routeChangesAfterFailure", r.routeChangesAfterFailure, kFingerprinted);
+  v("failSec", r.failSec, kFingerprinted);
+  v("eventsExecuted", r.eventsExecuted, kFingerprinted);
+  v("throughput", r.throughput, kFingerprinted);
+  v("meanDelay", r.meanDelay, kFingerprinted);
+  v("fibDigestBefore", r.fibDigestBefore, kOptional);
+  v("fibDigestAfter", r.fibDigestAfter, kOptional);
+  v("anatomy", r.anatomy, kOptional);
+}
 
 /// Build, run and squeeze one scenario into a RunResult.
 [[nodiscard]] RunResult runScenario(const ScenarioConfig& cfg);

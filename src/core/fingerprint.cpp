@@ -1,141 +1,72 @@
 #include "core/fingerprint.hpp"
 
 #include <cstdio>
-#include <sstream>
+#include <type_traits>
 
 namespace rcsim {
 
 namespace {
 
-void put(std::ostringstream& os, const char* key, std::uint64_t v) {
-  os << key << '=' << v << '\n';
+// Value text: integers, bools and enums as unsigned decimal, doubles at
+// full precision, counters as a comma list of their pinned fields, series
+// as `v;v;...;`.
+template <class T>
+  requires std::is_integral_v<T> || std::is_enum_v<T>
+void putValue(std::string& out, T v) {
+  out += std::to_string(static_cast<std::uint64_t>(v));
 }
 
-void put(std::ostringstream& os, const char* key, double v) {
+void putValue(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << key << '=' << buf << '\n';
+  out += buf;
 }
 
-void put(std::ostringstream& os, const char* key, const PacketCounters& c) {
-  os << key << '=' << c.delivered << ',' << c.forwarded << ',' << c.dropNoRoute << ','
-     << c.dropTtl << ',' << c.dropQueue << ',' << c.dropLinkDown << ',' << c.dropInFlightCut
-     << '\n';
-}
-
-}  // namespace
-
-std::string runResultFingerprint(const RunResult& r) {
-  std::ostringstream os;
-  put(os, "protocol", static_cast<std::uint64_t>(r.protocol));
-  put(os, "degree", static_cast<std::uint64_t>(r.degree));
-  put(os, "seed", r.seed);
-  put(os, "sent", r.sent);
-  put(os, "data", r.data);
-  put(os, "dataAfterFailure", r.dataAfterFailure);
-  put(os, "control", r.control);
-  put(os, "loopEscapedDeliveries", r.loopEscapedDeliveries);
-  put(os, "controlMessages", r.controlMessages);
-  put(os, "controlBytes", r.controlBytes);
-  put(os, "controlMessagesAfterFailure", r.controlMessagesAfterFailure);
-  put(os, "tcpGoodputPackets", r.tcpGoodputPackets);
-  put(os, "tcpRetransmissions", r.tcpRetransmissions);
-  put(os, "routingConvergenceSec", r.routingConvergenceSec);
-  put(os, "forwardingConvergenceSec", r.forwardingConvergenceSec);
-  put(os, "transientPaths", static_cast<std::uint64_t>(r.transientPaths));
-  put(os, "sawLoop", static_cast<std::uint64_t>(r.sawLoop));
-  put(os, "sawBlackhole", static_cast<std::uint64_t>(r.sawBlackhole));
-  put(os, "preFailurePathShortest", static_cast<std::uint64_t>(r.preFailurePathShortest));
-  put(os, "preFailurePathHops", static_cast<std::uint64_t>(r.preFailurePathHops));
-  put(os, "finalPathShortest", static_cast<std::uint64_t>(r.finalPathShortest));
-  put(os, "routeChangesAfterFailure", r.routeChangesAfterFailure);
-  put(os, "failSec", static_cast<std::uint64_t>(r.failSec));
-  put(os, "eventsExecuted", r.eventsExecuted);
-  os << "throughput=";
-  for (const double v : r.throughput) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g;", v);
-    os << buf;
-  }
-  os << '\n' << "meanDelay=";
-  for (const double v : r.meanDelay) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g;", v);
-    os << buf;
-  }
-  os << '\n';
-  return os.str();
-}
-
-namespace {
-
-std::string fnv1aHex(const std::string& fp) { return fnv1aHexDigest(fp); }
-
-void putSeries(std::ostringstream& os, const char* key, const std::vector<double>& series) {
-  os << key << '=';
+void putValue(std::string& out, const std::vector<double>& series) {
   for (const double v : series) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g;", v);
-    os << buf;
+    putValue(out, v);
+    out += ';';
   }
-  os << '\n';
+}
+
+void putValue(std::string& out, const PacketCounters& c) {
+  const char* sep = "";
+  forEachField(c, [&](const char*, std::uint64_t n, auto flags) {
+    if constexpr (decltype(flags)::fingerprinted) {
+      out += sep;
+      putValue(out, n);
+      sep = ",";
+    }
+  });
+}
+
+template <class T>
+void putLine(std::string& out, const char* name, const T& value) {
+  out += name;
+  out += '=';
+  putValue(out, value);
+  out += '\n';
+}
+
+/// One `name=value` line per fingerprinted field, in table order.
+template <class R>
+std::string fingerprint(const R& r) {
+  std::string out;
+  forEachField(r, [&out](const char* name, const auto& value, auto flags, auto&&...) {
+    if constexpr (decltype(flags)::fingerprinted) putLine(out, name, value);
+  });
+  return out;
 }
 
 }  // namespace
 
-std::string runResultDigest(const RunResult& r) { return fnv1aHex(runResultFingerprint(r)); }
+std::string runResultFingerprint(const RunResult& r) { return fingerprint(r); }
+std::string runResultDigest(const RunResult& r) { return fnv1aHexDigest(fingerprint(r)); }
 
-std::string aggregateFingerprint(const Aggregate& a) {
-  std::ostringstream os;
-  put(os, "runs", static_cast<std::uint64_t>(a.runs));
-  put(os, "dropsNoRoute", a.dropsNoRoute);
-  put(os, "dropsTtl", a.dropsTtl);
-  put(os, "dropsOther", a.dropsOther);
-  put(os, "delivered", a.delivered);
-  put(os, "sent", a.sent);
-  put(os, "routingConvergenceSec", a.routingConvergenceSec);
-  put(os, "forwardingConvergenceSec", a.forwardingConvergenceSec);
-  put(os, "transientPaths", a.transientPaths);
-  put(os, "loopFraction", a.loopFraction);
-  put(os, "loopEscapedDeliveries", a.loopEscapedDeliveries);
-  put(os, "failSec", static_cast<std::uint64_t>(a.failSec));
-  putSeries(os, "throughput", a.throughput);
-  putSeries(os, "meanDelay", a.meanDelay);
-  return os.str();
-}
+std::string aggregateFingerprint(const Aggregate& a) { return fingerprint(a); }
+std::string aggregateDigest(const Aggregate& a) { return fnv1aHexDigest(fingerprint(a)); }
 
-std::string aggregateDigest(const Aggregate& a) { return fnv1aHex(aggregateFingerprint(a)); }
-
-std::string anatomyFingerprint(const obs::AnatomySummary& s) {
-  std::ostringstream os;
-  put(os, "episodes", s.episodes);
-  put(os, "triggers", s.triggers);
-  put(os, "detectedEpisodes", s.detectedEpisodes);
-  put(os, "detectionSecTotal", s.detectionSecTotal);
-  put(os, "convergedEpisodes", s.convergedEpisodes);
-  put(os, "convergenceSecTotal", s.convergenceSecTotal);
-  put(os, "fibChurn", s.fibChurn);
-  put(os, "loopWindows", s.loopWindows);
-  put(os, "loopSeconds", s.loopSeconds);
-  put(os, "blackholeWindows", s.blackholeWindows);
-  put(os, "blackholeSeconds", s.blackholeSeconds);
-  put(os, "dropsLoop", s.dropsLoop);
-  put(os, "dropsBlackhole", s.dropsBlackhole);
-  put(os, "dropsTtl", s.dropsTtl);
-  put(os, "dropsQueue", s.dropsQueue);
-  put(os, "dropsOther", s.dropsOther);
-  put(os, "delivered", s.delivered);
-  put(os, "controlMessages", s.controlMessages);
-  put(os, "controlBytes", s.controlBytes);
-  put(os, "helloMessages", s.helloMessages);
-  put(os, "helloBytes", s.helloBytes);
-  put(os, "dvTriggered", s.dvTriggered);
-  put(os, "dvPeriodic", s.dvPeriodic);
-  put(os, "mraiArmed", s.mraiArmed);
-  put(os, "mraiFired", s.mraiFired);
-  return os.str();
-}
-
-std::string anatomyDigest(const obs::AnatomySummary& s) { return fnv1aHex(anatomyFingerprint(s)); }
+std::string anatomyFingerprint(const obs::AnatomySummary& s) { return fingerprint(s); }
+std::string anatomyDigest(const obs::AnatomySummary& s) { return fnv1aHexDigest(fingerprint(s)); }
 
 }  // namespace rcsim

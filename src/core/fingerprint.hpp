@@ -11,19 +11,21 @@ namespace rcsim {
 // above): the same hash the result digests use, shared with the journal's
 // config digests and the structured trace digests.
 
-/// Canonical text rendering of every RunResult field (doubles at full
-/// precision), for byte-exact determinism comparisons across engine
-/// refactors. Two runs are equivalent iff their fingerprints match.
+/// Canonical text rendering of the RunResult fields its table marks
+/// kFingerprinted (core/experiment.hpp; doubles at full precision), one
+/// `name=value` line each in table order, for byte-exact determinism
+/// comparisons across engine refactors. Two runs are equivalent iff their
+/// fingerprints match.
 [[nodiscard]] std::string runResultFingerprint(const RunResult& r);
 
 /// FNV-1a 64-bit digest of the fingerprint, as 16 lowercase hex chars —
 /// compact enough to check golden values into a test.
 [[nodiscard]] std::string runResultDigest(const RunResult& r);
 
-/// Same idea for an Aggregate: every scalar and both series at full
-/// precision. Lets a test assert that two aggregation paths (e.g. a serial
-/// runScenario loop and the flattened SweepExecutor queue) produce
-/// bit-identical statistics.
+/// Same idea for an Aggregate: every field of its table (core/runner.hpp),
+/// both series included, at full precision. Lets a test assert that two
+/// aggregation paths (e.g. a serial runScenario loop and the flattened
+/// SweepExecutor queue) produce bit-identical statistics.
 [[nodiscard]] std::string aggregateFingerprint(const Aggregate& a);
 [[nodiscard]] std::string aggregateDigest(const Aggregate& a);
 

@@ -27,23 +27,13 @@ Aggregate Aggregate::over(const std::vector<RunResult>& results) {
     }
   }
   std::size_t maxLen = 0;
-  for (const auto& r : results) maxLen = std::max(maxLen, r.throughput.size());
+  for (const auto& r : results) {
+    maxLen = std::max({maxLen, r.throughput.size(), r.meanDelay.size()});
+  }
   a.throughput.assign(maxLen, 0.0);
   a.meanDelay.assign(maxLen, 0.0);
   std::vector<int> delayCounts(maxLen, 0);
   for (const auto& r : results) {
-    a.dropsNoRoute += static_cast<double>(r.dataAfterFailure.dropNoRoute);
-    a.dropsTtl += static_cast<double>(r.dataAfterFailure.dropTtl);
-    a.dropsOther += static_cast<double>(r.dataAfterFailure.dropQueue +
-                                        r.dataAfterFailure.dropLinkDown +
-                                        r.dataAfterFailure.dropInFlightCut);
-    a.delivered += static_cast<double>(r.data.delivered);
-    a.sent += static_cast<double>(r.sent);
-    a.routingConvergenceSec += r.routingConvergenceSec;
-    a.forwardingConvergenceSec += r.forwardingConvergenceSec;
-    a.transientPaths += r.transientPaths;
-    a.loopFraction += r.sawLoop ? 1.0 : 0.0;
-    a.loopEscapedDeliveries += static_cast<double>(r.loopEscapedDeliveries);
     for (std::size_t s = 0; s < r.throughput.size(); ++s) a.throughput[s] += r.throughput[s];
     for (std::size_t s = 0; s < r.meanDelay.size(); ++s) {
       if (r.meanDelay[s] > 0.0) {
@@ -53,16 +43,14 @@ Aggregate Aggregate::over(const std::vector<RunResult>& results) {
     }
   }
   const auto n = static_cast<double>(a.runs);
-  a.dropsNoRoute /= n;
-  a.dropsTtl /= n;
-  a.dropsOther /= n;
-  a.delivered /= n;
-  a.sent /= n;
-  a.routingConvergenceSec /= n;
-  a.forwardingConvergenceSec /= n;
-  a.transientPaths /= n;
-  a.loopFraction /= n;
-  a.loopEscapedDeliveries /= n;
+  // Each scalar row's mean: its projections summed as doubles in run
+  // order, over n.
+  forEachField(a, [&](const char*, auto& mean, auto, auto... project) {
+    if constexpr (sizeof...(project) == 1) {
+      for (const auto& r : results) mean += static_cast<double>((project(r), ...));
+      mean /= n;
+    }
+  });
   for (auto& v : a.throughput) v /= n;
   for (std::size_t s = 0; s < a.meanDelay.size(); ++s) {
     if (delayCounts[s] > 0) a.meanDelay[s] /= delayCounts[s];

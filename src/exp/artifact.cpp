@@ -12,50 +12,6 @@ namespace rcsim::exp {
 
 namespace {
 
-JsonValue numbers(const std::vector<double>& values) {
-  JsonValue arr = JsonValue::makeArray();
-  arr.array.reserve(values.size());
-  for (const double v : values) arr.array.push_back(JsonValue::makeNumber(v));
-  return arr;
-}
-
-JsonValue aggregateJson(const Aggregate& a, bool withSeries) {
-  JsonValue o = JsonValue::makeObject();
-  o.object["runs"] = JsonValue::makeNumber(a.runs);
-  o.object["drops_no_route"] = JsonValue::makeNumber(a.dropsNoRoute);
-  o.object["drops_ttl"] = JsonValue::makeNumber(a.dropsTtl);
-  o.object["drops_other"] = JsonValue::makeNumber(a.dropsOther);
-  o.object["delivered"] = JsonValue::makeNumber(a.delivered);
-  o.object["sent"] = JsonValue::makeNumber(a.sent);
-  o.object["routing_convergence_sec"] = JsonValue::makeNumber(a.routingConvergenceSec);
-  o.object["forwarding_convergence_sec"] = JsonValue::makeNumber(a.forwardingConvergenceSec);
-  o.object["transient_paths"] = JsonValue::makeNumber(a.transientPaths);
-  o.object["loop_fraction"] = JsonValue::makeNumber(a.loopFraction);
-  o.object["loop_escaped_deliveries"] = JsonValue::makeNumber(a.loopEscapedDeliveries);
-  o.object["fail_sec"] = JsonValue::makeNumber(a.failSec);
-  if (withSeries) {
-    o.object["throughput"] = numbers(a.throughput);
-    o.object["mean_delay"] = numbers(a.meanDelay);
-  }
-  return o;
-}
-
-JsonValue totalsJson(const CellStats& t) {
-  JsonValue o = JsonValue::makeObject();
-  o.object["sent"] = JsonValue::makeNumber(t.sent);
-  o.object["delivered"] = JsonValue::makeNumber(t.delivered);
-  o.object["drop_no_route"] = JsonValue::makeNumber(t.dropNoRoute);
-  o.object["drop_queue"] = JsonValue::makeNumber(t.dropQueue);
-  o.object["control_messages"] = JsonValue::makeNumber(t.controlMessages);
-  o.object["control_bytes"] = JsonValue::makeNumber(t.controlBytes);
-  o.object["control_messages_after_failure"] = JsonValue::makeNumber(t.controlMessagesAfterFailure);
-  o.object["tcp_goodput_packets"] = JsonValue::makeNumber(t.tcpGoodputPackets);
-  o.object["tcp_retransmissions"] = JsonValue::makeNumber(t.tcpRetransmissions);
-  o.object["transport_retransmissions"] = JsonValue::makeNumber(t.transportRetransmissions);
-  o.object["transport_session_resets"] = JsonValue::makeNumber(t.transportSessionResets);
-  return o;
-}
-
 JsonValue attemptsJson(const std::vector<std::string>& attempts) {
   JsonValue arr = JsonValue::makeArray();
   arr.array.reserve(attempts.size());
@@ -142,13 +98,18 @@ JsonValue buildArtifact(const ExperimentSpec& spec, const ExperimentResult& resu
         cell.object["failures"] = failuresJson(result.cells[i].failures);
         ++failedCells;
       } else {
-        cell.object["aggregate"] = aggregateJson(result.cells[i].agg, spec.jsonSeries);
+        JsonValue aggregate = fieldsToJson(result.cells[i].agg);
+        if (!spec.jsonSeries) {
+          aggregate.object.erase("throughput");
+          aggregate.object.erase("mean_delay");
+        }
+        cell.object["aggregate"] = std::move(aggregate);
         // Full-precision identity of the fold, so a resumed run can be
         // proven bit-identical to an uninterrupted one by comparing one
         // string per cell (scripts/chaos_resume_test.sh does exactly that).
         cell.object["aggregate_digest"] =
             JsonValue::makeString(aggregateDigest(result.cells[i].agg));
-        cell.object["totals"] = totalsJson(result.cells[i].totals);
+        cell.object["totals"] = fieldsToJson(result.cells[i].totals);
         // Per-replica route-table digests around the first fault; proves
         // whether reconvergence restored the pre-fault tables.
         if (!result.cells[i].snapshots.empty()) {
@@ -158,7 +119,7 @@ JsonValue buildArtifact(const ExperimentSpec& spec, const ExperimentResult& resu
         // latency, window seconds, per-cause drops, control accounting),
         // summed over replicas in seed order. The digest pins the exact
         // fold the same way aggregate_digest pins the aggregate.
-        cell.object["convergence"] = anatomySummaryToJson(result.cells[i].convergence);
+        cell.object["convergence"] = fieldsToJson(result.cells[i].convergence);
         cell.object["convergence_digest"] =
             JsonValue::makeString(anatomyDigest(result.cells[i].convergence));
       }

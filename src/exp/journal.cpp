@@ -10,55 +10,102 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "core/durable_io.hpp"
 #include "core/fingerprint.hpp"
+#include "exp/spec.hpp"
 
 namespace rcsim::exp {
 
 namespace {
 
-JsonValue countersToJson(const PacketCounters& c) {
-  JsonValue arr = JsonValue::makeArray();
-  arr.array.reserve(9);
-  for (const std::uint64_t v : {c.delivered, c.forwarded, c.dropNoRoute, c.dropTtl, c.dropQueue,
-                                c.dropLinkDown, c.dropInFlightCut, c.dropLoss, c.dropCorrupt}) {
-    arr.array.push_back(JsonValue::makeNumber(static_cast<double>(v)));
+/// A field name in key form: "dataAfterFailure" -> "data_after_failure".
+std::string jsonKey(std::string_view name) {
+  std::string key;
+  for (const char c : name) {
+    if (c >= 'A' && c <= 'Z') {
+      key += '_';
+      key += static_cast<char>(c - 'A' + 'a');
+    } else {
+      key += c;
+    }
   }
+  return key;
+}
+
+template <class T>
+  requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+JsonValue toJsonValue(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return JsonValue::makeBool(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return JsonValue::makeNumber(static_cast<std::underlying_type_t<T>>(v));
+  } else {
+    return JsonValue::makeNumber(static_cast<double>(v));
+  }
+}
+
+template <class T>
+  requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+void fromJsonValue(const JsonValue& j, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = j.boolean;
+  } else if constexpr (std::is_enum_v<T>) {
+    out = static_cast<T>(static_cast<std::underlying_type_t<T>>(j.number));
+  } else {
+    out = static_cast<T>(j.number);
+  }
+}
+
+JsonValue toJsonValue(const std::string& s) { return JsonValue::makeString(s); }
+void fromJsonValue(const JsonValue& j, std::string& out) { out = j.str; }
+
+JsonValue toJsonValue(const std::vector<double>& series) {
+  JsonValue arr = JsonValue::makeArray();
+  arr.array.reserve(series.size());
+  for (const double v : series) arr.array.push_back(JsonValue::makeNumber(v));
   return arr;
 }
 
-PacketCounters countersFromJson(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::Array || v.array.size() != 9) {
-    throw std::runtime_error("journal: counters array must have 9 elements");
-  }
-  auto u = [&](std::size_t i) { return static_cast<std::uint64_t>(v.array[i].number); };
-  PacketCounters c;
-  c.delivered = u(0);
-  c.forwarded = u(1);
-  c.dropNoRoute = u(2);
-  c.dropTtl = u(3);
-  c.dropQueue = u(4);
-  c.dropLinkDown = u(5);
-  c.dropInFlightCut = u(6);
-  c.dropLoss = u(7);
-  c.dropCorrupt = u(8);
-  return c;
+void fromJsonValue(const JsonValue& j, std::vector<double>& out) {
+  out.clear();
+  out.reserve(j.array.size());
+  for (const auto& e : j.array) out.push_back(e.number);
 }
 
-JsonValue seriesToJson(const std::vector<double>& values) {
+JsonValue toJsonValue(const PacketCounters& c) {
   JsonValue arr = JsonValue::makeArray();
-  arr.array.reserve(values.size());
-  for (const double v : values) arr.array.push_back(JsonValue::makeNumber(v));
+  forEachField(c, [&arr](const char*, std::uint64_t n, auto) {
+    arr.array.push_back(toJsonValue(n));
+  });
   return arr;
 }
 
-std::vector<double> seriesFromJson(const JsonValue& v) {
-  std::vector<double> out;
-  out.reserve(v.array.size());
-  for (const auto& e : v.array) out.push_back(e.number);
-  return out;
+void fromJsonValue(const JsonValue& j, PacketCounters& c) {
+  std::size_t fields = 0;
+  forEachField(c, [&fields](auto&&...) { ++fields; });
+  if (j.kind != JsonValue::Kind::Array || j.array.size() != fields) {
+    throw std::runtime_error("journal: counters array must have " + std::to_string(fields) +
+                             " elements");
+  }
+  std::size_t i = 0;
+  forEachField(c, [&](const char*, std::uint64_t& n, auto) { fromJsonValue(j.array[i++], n); });
+}
+
+// A nested result struct (RunResult::anatomy) is an object of its own fields.
+template <class R>
+  requires std::is_class_v<R>
+JsonValue toJsonValue(const R& r) {
+  return fieldsToJson(r);
+}
+
+template <class R>
+  requires std::is_class_v<R>
+void fromJsonValue(const JsonValue& j, R& out) {
+  out = fieldsFromJson<R>(j);
 }
 
 std::uint64_t u64At(const JsonValue& o, const char* key) {
@@ -67,151 +114,32 @@ std::uint64_t u64At(const JsonValue& o, const char* key) {
 
 }  // namespace
 
-JsonValue anatomySummaryToJson(const obs::AnatomySummary& s) {
+template <class R>
+JsonValue fieldsToJson(const R& r) {
   JsonValue o = JsonValue::makeObject();
-  auto putU = [&o](const char* key, std::uint64_t v) {
-    o.object[key] = JsonValue::makeNumber(static_cast<double>(v));
-  };
-  putU("episodes", s.episodes);
-  putU("triggers", s.triggers);
-  putU("detected_episodes", s.detectedEpisodes);
-  o.object["detection_sec_total"] = JsonValue::makeNumber(s.detectionSecTotal);
-  putU("converged_episodes", s.convergedEpisodes);
-  o.object["convergence_sec_total"] = JsonValue::makeNumber(s.convergenceSecTotal);
-  putU("fib_churn", s.fibChurn);
-  putU("loop_windows", s.loopWindows);
-  o.object["loop_seconds"] = JsonValue::makeNumber(s.loopSeconds);
-  putU("blackhole_windows", s.blackholeWindows);
-  o.object["blackhole_seconds"] = JsonValue::makeNumber(s.blackholeSeconds);
-  putU("drops_loop", s.dropsLoop);
-  putU("drops_blackhole", s.dropsBlackhole);
-  putU("drops_ttl", s.dropsTtl);
-  putU("drops_queue", s.dropsQueue);
-  putU("drops_other", s.dropsOther);
-  putU("delivered", s.delivered);
-  putU("control_messages", s.controlMessages);
-  putU("control_bytes", s.controlBytes);
-  putU("hello_messages", s.helloMessages);
-  putU("hello_bytes", s.helloBytes);
-  putU("dv_triggered", s.dvTriggered);
-  putU("dv_periodic", s.dvPeriodic);
-  putU("mrai_armed", s.mraiArmed);
-  putU("mrai_fired", s.mraiFired);
+  forEachField(r, [&o](const char* name, const auto& value, auto, auto&&...) {
+    o.object[jsonKey(name)] = toJsonValue(value);
+  });
   return o;
 }
 
-obs::AnatomySummary anatomySummaryFromJson(const JsonValue& v) {
-  obs::AnatomySummary s;
-  s.episodes = u64At(v, "episodes");
-  s.triggers = u64At(v, "triggers");
-  s.detectedEpisodes = u64At(v, "detected_episodes");
-  s.detectionSecTotal = v.numberAt("detection_sec_total");
-  s.convergedEpisodes = u64At(v, "converged_episodes");
-  s.convergenceSecTotal = v.numberAt("convergence_sec_total");
-  s.fibChurn = u64At(v, "fib_churn");
-  s.loopWindows = u64At(v, "loop_windows");
-  s.loopSeconds = v.numberAt("loop_seconds");
-  s.blackholeWindows = u64At(v, "blackhole_windows");
-  s.blackholeSeconds = v.numberAt("blackhole_seconds");
-  s.dropsLoop = u64At(v, "drops_loop");
-  s.dropsBlackhole = u64At(v, "drops_blackhole");
-  s.dropsTtl = u64At(v, "drops_ttl");
-  s.dropsQueue = u64At(v, "drops_queue");
-  s.dropsOther = u64At(v, "drops_other");
-  s.delivered = u64At(v, "delivered");
-  s.controlMessages = u64At(v, "control_messages");
-  s.controlBytes = u64At(v, "control_bytes");
-  s.helloMessages = u64At(v, "hello_messages");
-  s.helloBytes = u64At(v, "hello_bytes");
-  s.dvTriggered = u64At(v, "dv_triggered");
-  s.dvPeriodic = u64At(v, "dv_periodic");
-  s.mraiArmed = u64At(v, "mrai_armed");
-  s.mraiFired = u64At(v, "mrai_fired");
-  return s;
-}
-
-JsonValue runResultToJson(const RunResult& r) {
-  JsonValue o = JsonValue::makeObject();
-  o.object["protocol"] = JsonValue::makeNumber(static_cast<int>(r.protocol));
-  o.object["degree"] = JsonValue::makeNumber(r.degree);
-  o.object["seed"] = JsonValue::makeNumber(static_cast<double>(r.seed));
-  o.object["sent"] = JsonValue::makeNumber(static_cast<double>(r.sent));
-  o.object["data"] = countersToJson(r.data);
-  o.object["data_after_failure"] = countersToJson(r.dataAfterFailure);
-  o.object["control"] = countersToJson(r.control);
-  o.object["loop_escaped_deliveries"] =
-      JsonValue::makeNumber(static_cast<double>(r.loopEscapedDeliveries));
-  o.object["control_messages"] = JsonValue::makeNumber(static_cast<double>(r.controlMessages));
-  o.object["control_bytes"] = JsonValue::makeNumber(static_cast<double>(r.controlBytes));
-  o.object["control_messages_after_failure"] =
-      JsonValue::makeNumber(static_cast<double>(r.controlMessagesAfterFailure));
-  o.object["tcp_goodput_packets"] =
-      JsonValue::makeNumber(static_cast<double>(r.tcpGoodputPackets));
-  o.object["tcp_retransmissions"] =
-      JsonValue::makeNumber(static_cast<double>(r.tcpRetransmissions));
-  o.object["transport_retransmissions"] =
-      JsonValue::makeNumber(static_cast<double>(r.transportRetransmissions));
-  o.object["transport_session_resets"] =
-      JsonValue::makeNumber(static_cast<double>(r.transportSessionResets));
-  o.object["routing_convergence_sec"] = JsonValue::makeNumber(r.routingConvergenceSec);
-  o.object["forwarding_convergence_sec"] = JsonValue::makeNumber(r.forwardingConvergenceSec);
-  o.object["transient_paths"] = JsonValue::makeNumber(r.transientPaths);
-  o.object["saw_loop"] = JsonValue::makeBool(r.sawLoop);
-  o.object["saw_blackhole"] = JsonValue::makeBool(r.sawBlackhole);
-  o.object["pre_failure_path_shortest"] = JsonValue::makeBool(r.preFailurePathShortest);
-  o.object["pre_failure_path_hops"] = JsonValue::makeNumber(r.preFailurePathHops);
-  o.object["final_path_shortest"] = JsonValue::makeBool(r.finalPathShortest);
-  o.object["route_changes_after_failure"] =
-      JsonValue::makeNumber(static_cast<double>(r.routeChangesAfterFailure));
-  o.object["throughput"] = seriesToJson(r.throughput);
-  o.object["mean_delay"] = seriesToJson(r.meanDelay);
-  o.object["fail_sec"] = JsonValue::makeNumber(r.failSec);
-  o.object["events_executed"] = JsonValue::makeNumber(static_cast<double>(r.eventsExecuted));
-  o.object["fib_digest_before"] = JsonValue::makeString(r.fibDigestBefore);
-  o.object["fib_digest_after"] = JsonValue::makeString(r.fibDigestAfter);
-  o.object["anatomy"] = anatomySummaryToJson(r.anatomy);
-  return o;
-}
-
-RunResult runResultFromJson(const JsonValue& v) {
-  RunResult r;
-  r.protocol = static_cast<ProtocolKind>(static_cast<int>(v.numberAt("protocol")));
-  r.degree = static_cast<int>(v.numberAt("degree"));
-  r.seed = u64At(v, "seed");
-  r.sent = u64At(v, "sent");
-  r.data = countersFromJson(v.at("data"));
-  r.dataAfterFailure = countersFromJson(v.at("data_after_failure"));
-  r.control = countersFromJson(v.at("control"));
-  r.loopEscapedDeliveries = u64At(v, "loop_escaped_deliveries");
-  r.controlMessages = u64At(v, "control_messages");
-  r.controlBytes = u64At(v, "control_bytes");
-  r.controlMessagesAfterFailure = u64At(v, "control_messages_after_failure");
-  r.tcpGoodputPackets = u64At(v, "tcp_goodput_packets");
-  r.tcpRetransmissions = u64At(v, "tcp_retransmissions");
-  r.transportRetransmissions = u64At(v, "transport_retransmissions");
-  r.transportSessionResets = u64At(v, "transport_session_resets");
-  r.routingConvergenceSec = v.numberAt("routing_convergence_sec");
-  r.forwardingConvergenceSec = v.numberAt("forwarding_convergence_sec");
-  r.transientPaths = static_cast<int>(v.numberAt("transient_paths"));
-  r.sawLoop = v.at("saw_loop").boolean;
-  r.sawBlackhole = v.at("saw_blackhole").boolean;
-  r.preFailurePathShortest = v.at("pre_failure_path_shortest").boolean;
-  r.preFailurePathHops = static_cast<int>(v.numberAt("pre_failure_path_hops"));
-  r.finalPathShortest = v.at("final_path_shortest").boolean;
-  r.routeChangesAfterFailure = u64At(v, "route_changes_after_failure");
-  r.throughput = seriesFromJson(v.at("throughput"));
-  r.meanDelay = seriesFromJson(v.at("mean_delay"));
-  r.failSec = static_cast<int>(v.numberAt("fail_sec"));
-  r.eventsExecuted = u64At(v, "events_executed");
-  // Snapshot digests postdate the first journal format; journals written
-  // before them decode with the fields empty.
-  if (v.has("fib_digest_before")) r.fibDigestBefore = v.stringAt("fib_digest_before");
-  if (v.has("fib_digest_after")) r.fibDigestAfter = v.stringAt("fib_digest_after");
-  // The anatomy block postdates the first journal format; older journals
-  // decode with an all-zero summary.
-  if (v.has("anatomy")) r.anatomy = anatomySummaryFromJson(v.at("anatomy"));
+template <class R>
+R fieldsFromJson(const JsonValue& v) {
+  R r;
+  forEachField(r, [&v](const char* name, auto& value, auto flags, auto&&...) {
+    const std::string key = jsonKey(name);
+    if (decltype(flags)::optional && !v.has(key)) return;
+    fromJsonValue(v.at(key), value);
+  });
   return r;
 }
+
+template JsonValue fieldsToJson(const RunResult&);
+template JsonValue fieldsToJson(const obs::AnatomySummary&);
+template JsonValue fieldsToJson(const Aggregate&);
+template JsonValue fieldsToJson(const CellStats&);
+template RunResult fieldsFromJson<RunResult>(const JsonValue&);
+template obs::AnatomySummary fieldsFromJson<obs::AnatomySummary>(const JsonValue&);
 
 std::string encodeJournalLine(const JournalRecord& rec) {
   JsonValue body = JsonValue::makeObject();
@@ -222,11 +150,13 @@ std::string encodeJournalLine(const JournalRecord& rec) {
   body.object["attempt"] = JsonValue::makeNumber(rec.attempt);
   body.object["ok"] = JsonValue::makeBool(rec.ok);
   if (rec.ok) {
-    // The digest is belt-and-braces on top of the CRC: it catches a
-    // serializer that drifts from RunResult (schema skew), not just bit
-    // rot, before a stale snapshot is folded into an aggregate.
+    // The digest is belt-and-braces on top of the CRC: the decoder
+    // re-fingerprints the result it rebuilt and compares, so a record whose
+    // fingerprinted fields decode to other values is rejected. It says
+    // nothing of the unpinned fields; that the JSON covers every field is
+    // the field table's job, and the round-trip tests compare whole records.
     body.object["digest"] = JsonValue::makeString(runResultDigest(rec.result));
-    body.object["result"] = runResultToJson(rec.result);
+    body.object["result"] = fieldsToJson(rec.result);
   } else {
     JsonValue errs = JsonValue::makeArray();
     for (const auto& e : rec.errors) errs.array.push_back(JsonValue::makeString(e));
@@ -256,7 +186,7 @@ bool decodeJournalLine(const std::string& line, JournalRecord& out) {
     out.attempt = static_cast<int>(rec.numberAt("attempt"));
     out.ok = rec.at("ok").boolean;
     if (out.ok) {
-      out.result = runResultFromJson(rec.at("result"));
+      out.result = fieldsFromJson<RunResult>(rec.at("result"));
       if (runResultDigest(out.result) != rec.stringAt("digest")) return false;
     } else {
       for (const auto& e : rec.at("errors").array) out.errors.push_back(e.str);

@@ -41,17 +41,20 @@ inline constexpr const char* kJournalFileName = "journal.jsonl";
 /// part of this module's contract.
 using rcsim::crc32Hex;
 
-/// Exact JSON image of a RunResult: every field, counters included, with
-/// shortest-round-trip number formatting so fromJson(toJson(r)) has the
-/// same runResultFingerprint as r (proven in test_journal.cpp).
-[[nodiscard]] JsonValue runResultToJson(const RunResult& r);
-[[nodiscard]] RunResult runResultFromJson(const JsonValue& v);
-
-/// JSON image of a convergence-anatomy rollup (obs/anatomy.hpp), shared by
-/// the journal (resume keeps the convergence block exact) and the artifact
-/// writer's `convergence` block.
-[[nodiscard]] JsonValue anatomySummaryToJson(const obs::AnatomySummary& s);
-[[nodiscard]] obs::AnatomySummary anatomySummaryFromJson(const JsonValue& v);
+/// Exact JSON image of a result struct, derived from its field table
+/// (core/fields.hpp): each field under its name in snake_case
+/// ("dataAfterFailure" -> "data_after_failure"), bools as JSON bools,
+/// counters as a positional array, nested structs as objects, numbers in
+/// shortest-round-trip form, so fieldsFromJson<R>(fieldsToJson(r)) == r
+/// (proven in test_journal.cpp). Decoding throws std::runtime_error on a
+/// missing key unless the field is kOptional. Both are defined for
+/// RunResult and obs::AnatomySummary (the artifact's `convergence` block);
+/// fieldsToJson also for Aggregate and CellStats (its `aggregate` and
+/// `totals` blocks).
+template <class R>
+[[nodiscard]] JsonValue fieldsToJson(const R& r);
+template <class R>
+[[nodiscard]] R fieldsFromJson(const JsonValue& v);
 
 /// One journaled replica.
 struct JournalRecord {

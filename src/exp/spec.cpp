@@ -4,19 +4,9 @@ namespace rcsim::exp {
 
 CellStats CellStats::over(const std::vector<RunResult>& results) {
   CellStats s;
-  for (const auto& r : results) {
-    s.sent += static_cast<double>(r.sent);
-    s.delivered += static_cast<double>(r.data.delivered);
-    s.dropNoRoute += static_cast<double>(r.data.dropNoRoute);
-    s.dropQueue += static_cast<double>(r.data.dropQueue);
-    s.controlMessages += static_cast<double>(r.controlMessages);
-    s.controlBytes += static_cast<double>(r.controlBytes);
-    s.controlMessagesAfterFailure += static_cast<double>(r.controlMessagesAfterFailure);
-    s.tcpGoodputPackets += static_cast<double>(r.tcpGoodputPackets);
-    s.tcpRetransmissions += static_cast<double>(r.tcpRetransmissions);
-    s.transportRetransmissions += static_cast<double>(r.transportRetransmissions);
-    s.transportSessionResets += static_cast<double>(r.transportSessionResets);
-  }
+  forEachField(s, [&results](const char*, double& total, auto, auto project) {
+    for (const auto& r : results) total += static_cast<double>(project(r));
+  });
   return s;
 }
 

@@ -49,7 +49,33 @@ struct CellStats {
   double transportSessionResets = 0.0;
 
   [[nodiscard]] static CellStats over(const std::vector<RunResult>& results);
+
+  friend bool operator==(const CellStats&, const CellStats&) = default;
 };
+
+/// CellStats' field table (core/fields.hpp). Each row's last argument is
+/// its projection from one RunResult, which CellStats::over sums as
+/// doubles. No fingerprint covers these totals.
+template <FieldsOf<CellStats> S, class V>
+void forEachField(S& s, V&& v) {
+  using R = const RunResult&;
+  v("sent", s.sent, kUnpinned, [](R r) { return r.sent; });
+  v("delivered", s.delivered, kUnpinned, [](R r) { return r.data.delivered; });
+  v("dropNoRoute", s.dropNoRoute, kUnpinned, [](R r) { return r.data.dropNoRoute; });
+  v("dropQueue", s.dropQueue, kUnpinned, [](R r) { return r.data.dropQueue; });
+  v("controlMessages", s.controlMessages, kUnpinned, [](R r) { return r.controlMessages; });
+  v("controlBytes", s.controlBytes, kUnpinned, [](R r) { return r.controlBytes; });
+  v("controlMessagesAfterFailure", s.controlMessagesAfterFailure, kUnpinned,
+    [](R r) { return r.controlMessagesAfterFailure; });
+  v("tcpGoodputPackets", s.tcpGoodputPackets, kUnpinned,
+    [](R r) { return r.tcpGoodputPackets; });
+  v("tcpRetransmissions", s.tcpRetransmissions, kUnpinned,
+    [](R r) { return r.tcpRetransmissions; });
+  v("transportRetransmissions", s.transportRetransmissions, kUnpinned,
+    [](R r) { return r.transportRetransmissions; });
+  v("transportSessionResets", s.transportSessionResets, kUnpinned,
+    [](R r) { return r.transportSessionResets; });
+}
 
 /// One replica that exhausted every retry attempt without producing a
 /// RunResult: the seed it simulated, the final exception text, and the

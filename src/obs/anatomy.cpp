@@ -1,5 +1,8 @@
 #include "obs/anatomy.hpp"
 
+#include <array>
+#include <type_traits>
+
 namespace rcsim::obs {
 
 namespace {
@@ -34,31 +37,16 @@ void bill(Out& out, const StatsCollector::Tally& from, const StatsCollector::Tal
 }  // namespace
 
 AnatomySummary& AnatomySummary::operator+=(const AnatomySummary& rhs) {
-  episodes += rhs.episodes;
-  triggers += rhs.triggers;
-  detectedEpisodes += rhs.detectedEpisodes;
-  detectionSecTotal += rhs.detectionSecTotal;
-  convergedEpisodes += rhs.convergedEpisodes;
-  convergenceSecTotal += rhs.convergenceSecTotal;
-  fibChurn += rhs.fibChurn;
-  loopWindows += rhs.loopWindows;
-  loopSeconds += rhs.loopSeconds;
-  blackholeWindows += rhs.blackholeWindows;
-  blackholeSeconds += rhs.blackholeSeconds;
-  dropsLoop += rhs.dropsLoop;
-  dropsBlackhole += rhs.dropsBlackhole;
-  dropsTtl += rhs.dropsTtl;
-  dropsQueue += rhs.dropsQueue;
-  dropsOther += rhs.dropsOther;
-  delivered += rhs.delivered;
-  controlMessages += rhs.controlMessages;
-  controlBytes += rhs.controlBytes;
-  helloMessages += rhs.helloMessages;
-  helloBytes += rhs.helloBytes;
-  dvTriggered += rhs.dvTriggered;
-  dvPeriodic += rhs.dvPeriodic;
-  mraiArmed += rhs.mraiArmed;
-  mraiFired += rhs.mraiFired;
+  // Both walks visit the same rows in the same order, so row i of rhs
+  // adds into row i of *this, a member of the same type. The table has 25
+  // rows; at() throws if it outgrows the array.
+  std::array<const void*, 32> addends{};
+  std::size_t n = 0;
+  forEachField(rhs, [&](const char*, const auto& x, auto) { addends.at(n++) = &x; });
+  std::size_t i = 0;
+  forEachField(*this, [&](const char*, auto& sum, auto) {
+    sum += *static_cast<const std::remove_reference_t<decltype(sum)>*>(addends[i++]);
+  });
   return *this;
 }
 

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
 #include "stats/collector.hpp"
@@ -98,8 +99,8 @@ struct ConvergenceEpisode {
 /// accounting — the plain-data form that rides in RunResult, folds across
 /// seeds in the executor (sums in seed order, so serial == pooled holds
 /// bit-for-bit) and lands in the artifact's `convergence` block.
-/// Deliberately NOT part of runResultFingerprint: the pinned golden
-/// digests enumerate fields explicitly and predate these.
+/// RunResult carries it as an optional, unpinned field: the golden run
+/// digests predate the analyzer, and anatomyDigest pins this struct alone.
 struct AnatomySummary {
   std::uint64_t episodes = 0;
   std::uint64_t triggers = 0;
@@ -134,6 +135,37 @@ struct AnatomySummary {
 
   friend bool operator==(const AnatomySummary&, const AnatomySummary&) = default;
 };
+
+/// AnatomySummary's field table (core/fields.hpp): anatomyFingerprint, the
+/// artifact's `convergence` block and operator+= all follow it.
+template <FieldsOf<AnatomySummary> S, class V>
+void forEachField(S& s, V&& v) {
+  v("episodes", s.episodes, kFingerprinted);
+  v("triggers", s.triggers, kFingerprinted);
+  v("detectedEpisodes", s.detectedEpisodes, kFingerprinted);
+  v("detectionSecTotal", s.detectionSecTotal, kFingerprinted);
+  v("convergedEpisodes", s.convergedEpisodes, kFingerprinted);
+  v("convergenceSecTotal", s.convergenceSecTotal, kFingerprinted);
+  v("fibChurn", s.fibChurn, kFingerprinted);
+  v("loopWindows", s.loopWindows, kFingerprinted);
+  v("loopSeconds", s.loopSeconds, kFingerprinted);
+  v("blackholeWindows", s.blackholeWindows, kFingerprinted);
+  v("blackholeSeconds", s.blackholeSeconds, kFingerprinted);
+  v("dropsLoop", s.dropsLoop, kFingerprinted);
+  v("dropsBlackhole", s.dropsBlackhole, kFingerprinted);
+  v("dropsTtl", s.dropsTtl, kFingerprinted);
+  v("dropsQueue", s.dropsQueue, kFingerprinted);
+  v("dropsOther", s.dropsOther, kFingerprinted);
+  v("delivered", s.delivered, kFingerprinted);
+  v("controlMessages", s.controlMessages, kFingerprinted);
+  v("controlBytes", s.controlBytes, kFingerprinted);
+  v("helloMessages", s.helloMessages, kFingerprinted);
+  v("helloBytes", s.helloBytes, kFingerprinted);
+  v("dvTriggered", s.dvTriggered, kFingerprinted);
+  v("dvPeriodic", s.dvPeriodic, kFingerprinted);
+  v("mraiArmed", s.mraiArmed, kFingerprinted);
+  v("mraiFired", s.mraiFired, kFingerprinted);
+}
 
 /// Everything the analyzer reconstructs. pathEvents / windows / kindCounts
 /// / delivered / dropped carry the exact types and semantics of

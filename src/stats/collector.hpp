@@ -7,8 +7,10 @@
 // differencing snapshots of it.
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "core/fields.hpp"
 #include "net/types.hpp"
 #include "obs/path_walk.hpp"
 #include "obs/trace.hpp"
@@ -30,11 +32,35 @@ struct PacketCounters {
   std::uint64_t dropLoss = 0;     ///< DropReason::RandomLoss (fault injection)
   std::uint64_t dropCorrupt = 0;  ///< DropReason::Corrupted (fault injection)
 
-  [[nodiscard]] std::uint64_t totalDropped() const {
-    return dropNoRoute + dropTtl + dropQueue + dropLinkDown + dropInFlightCut + dropLoss +
-           dropCorrupt;
-  }
+  /// Every drop reason: the sum of the fields named drop*.
+  [[nodiscard]] std::uint64_t totalDropped() const;
+
+  friend bool operator==(const PacketCounters&, const PacketCounters&) = default;
 };
+
+/// PacketCounters' field table (core/fields.hpp). The JSON form is a
+/// positional array in this order; the fingerprint writes the pinned
+/// fields as one comma list, so the two fault-injection drops stay out.
+template <FieldsOf<PacketCounters> C, class V>
+void forEachField(C& c, V&& v) {
+  v("delivered", c.delivered, kFingerprinted);
+  v("forwarded", c.forwarded, kFingerprinted);
+  v("dropNoRoute", c.dropNoRoute, kFingerprinted);
+  v("dropTtl", c.dropTtl, kFingerprinted);
+  v("dropQueue", c.dropQueue, kFingerprinted);
+  v("dropLinkDown", c.dropLinkDown, kFingerprinted);
+  v("dropInFlightCut", c.dropInFlightCut, kFingerprinted);
+  v("dropLoss", c.dropLoss, kUnpinned);
+  v("dropCorrupt", c.dropCorrupt, kUnpinned);
+}
+
+inline std::uint64_t PacketCounters::totalDropped() const {
+  std::uint64_t total = 0;
+  forEachField(*this, [&total](std::string_view name, std::uint64_t n, auto) {
+    if (name.starts_with("drop")) total += n;
+  });
+  return total;
+}
 
 /// One-stop instrumentation: a TraceSink that feeds the tally, the time
 /// series, the route-change log and the sender→receiver path walk. Attach

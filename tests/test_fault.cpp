@@ -861,15 +861,13 @@ TEST(SweepExecutor, FailedCellIsIsolatedAndReported) {
   EXPECT_EQ(bomb.failures[0].seed, 2u);
   EXPECT_EQ(bomb.failures[0].error, "deliberate test explosion");
   // ...and no misleading partial aggregate.
-  EXPECT_EQ(bomb.totals.sent, 0.0);
+  EXPECT_EQ(bomb.totals, exp::CellStats{});
   EXPECT_EQ(bomb.agg.runs, 0);
 
   // Every healthy cell matches a bomb-free sweep bit for bit.
   for (std::size_t c = 0; c < 3; ++c) {
     ASSERT_FALSE(got.cells[c].failed());
-    EXPECT_EQ(got.cells[c].totals.sent, want.cells[c].totals.sent);
-    EXPECT_EQ(got.cells[c].totals.delivered, want.cells[c].totals.delivered);
-    EXPECT_EQ(got.cells[c].totals.dropNoRoute, want.cells[c].totals.dropNoRoute);
+    EXPECT_EQ(got.cells[c].totals, want.cells[c].totals);
     EXPECT_EQ(got.cells[c].agg.routingConvergenceSec, want.cells[c].agg.routingConvergenceSec);
     EXPECT_EQ(got.cells[c].agg.delivered, want.cells[c].agg.delivered);
   }

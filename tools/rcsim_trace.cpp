@@ -142,7 +142,7 @@ int runEpisodes(const std::string& path, bool json) {
       obs::analyzeTrace(file.events, obs::replayOptionsFromMeta(file.meta));
   const obs::AnatomySummary summary = report.summary();
   if (json) {
-    std::printf("%s\n", dumpJson(exp::anatomySummaryToJson(summary)).c_str());
+    std::printf("%s\n", dumpJson(exp::fieldsToJson(summary)).c_str());
     return 0;
   }
 
@@ -336,7 +336,7 @@ int runArtifact(const std::string& path) {
     }
     std::printf("cell\t%s\tdigest=%s\n", cell.stringAt("id").c_str(),
                 cell.stringAt("convergence_digest").c_str());
-    printSummary(exp::anatomySummaryFromJson(cell.at("convergence")));
+    printSummary(exp::fieldsFromJson<obs::AnatomySummary>(cell.at("convergence")));
   }
   return 0;
 }
